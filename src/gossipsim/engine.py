@@ -110,20 +110,19 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
     is_g2 = isinstance(spec, Gossip2)
     is_g3 = isinstance(spec, Gossip3) and spec.m > 0
     if is_g3:
-        copies = np.zeros(n, dtype=np.int32)
+        copies = np.zeros(n, dtype=np.int64)  # int64 + intp index: ufunc.at fast path
     k = spec.k
 
     sends: dict[int, list[np.ndarray]] = {}
     checks: dict[int, list[np.ndarray]] = {}
 
     def decide(nodes: np.ndarray, round_: int) -> None:
-        # forwarding probability for each new receiver
+        # forward inside the k zone, otherwise with the protocol's probability
         if is_g2:
             base = np.where(boost_first[nodes] > 0, spec.p2, spec.p1)
         else:
             base = spec.p
-        prob = np.where(hop[nodes] < k, 1.0, base)
-        go = draws[nodes] < prob
+        go = (hop[nodes] < k) | (draws[nodes] < base)
         fwd = nodes[go]
         if fwd.size:
             forwarded[fwd] = True
@@ -157,10 +156,11 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
         if batches:
             senders = np.concatenate(batches)
             targets, origin = gather_neighbors(g, senders)
+            targets = targets.astype(np.intp)
             if is_g3:
                 np.add.at(copies, targets, 1)
-            fresh = receive_round[targets] == -1
-            nt = targets[fresh].astype(np.int64)
+            fresh = np.flatnonzero(receive_round[targets] == -1)
+            nt = targets[fresh]
             if nt.size:
                 snd = senders[origin[fresh]]
                 key = (hop[snd].astype(np.int64) + 1) * (n + 1) + snd
@@ -169,7 +169,9 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
                     np.maximum.at(boost_first, nt, out_boost[snd])
                 if is_g3:
                     np.maximum.at(L_first, nt, out_L[snd])
-                newly = np.unique(nt)
+                # (target, sender) pairs are unique within a round, so exactly
+                # one entry per new receiver holds its minimum key
+                newly = nt[first_key[nt] == key]
                 receive_round[newly] = t + 1
                 hop[newly] = (first_key[newly] // (n + 1)).astype(np.int32)
                 parent[newly] = (first_key[newly] % (n + 1)).astype(np.int32)

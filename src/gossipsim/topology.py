@@ -122,6 +122,12 @@ class DegreeStats:
     mean_degree: float
 
 
+def _expand(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges starts[i] .. starts[i] + lens[i] - 1."""
+    cum = np.cumsum(lens)
+    return np.arange(int(cum[-1]), dtype=np.int64) + np.repeat(starts - (cum - lens), lens)
+
+
 def gather_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated neighbor lists of `nodes`.
 
@@ -130,12 +136,9 @@ def gather_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     lens = g.degrees[nodes]
-    total = int(lens.sum())
-    if total == 0:
+    if not lens.any():
         return np.array([], dtype=np.int32), np.array([], dtype=np.int64)
-    starts = g.indptr[nodes]
-    cum = np.cumsum(lens)
-    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - (cum - lens), lens)
+    idx = _expand(g.indptr[nodes], lens)
     return g.indices[idx], np.repeat(np.arange(nodes.size, dtype=np.int64), lens)
 
 
@@ -172,21 +175,42 @@ def _rgg(spec: RandomGeometric) -> Graph:
     n = spec.n
     u = unit_uniforms(spec.seed, np.arange(2 * n, dtype=np.int64))
     coords = np.column_stack([u[0::2] * spec.width, u[1::2] * spec.height])
+    x, y = coords[:, 0], coords[:, 1]
     r2 = spec.radius * spec.radius
+    # Cell list: a pair within `radius` lies in one cell or in two adjacent
+    # cells.  The 2**-20 margin keeps that true under rounding in x / side;
+    # the lower bound on the side caps each axis at 2**24 cells, so cell ids
+    # stay far from int64 overflow in a huge sparse region.
+    side = max(spec.radius * (1 + 2**-20), max(spec.width, spec.height) * 2**-24)
+    cx = np.floor(x / side).astype(np.int64)
+    cy = np.floor(y / side).astype(np.int64)
+    rows = int(cy.max()) + 2  # row rows - 1 stays empty, so cy +- 1 never wraps
+    cell = cx * rows + cy
+    order = np.argsort(cell)
+    cell = cell[order]
+    # Each point meets the later points of its own cell and every point of
+    # four neighbour cells, (cx, cy+1) and (cx+1, cy-1..cy+1): half the
+    # neighbourhood, so each pair comes once.
+    start = [np.arange(1, n + 1)]
+    stop = [np.searchsorted(cell, cell, "right")]
+    for offset in (1, rows - 1, rows, rows + 1):
+        start.append(np.searchsorted(cell, cell + offset, "left"))
+        stop.append(np.searchsorted(cell, cell + offset, "right"))
+    first = np.tile(np.arange(n), 5)
+    start = np.concatenate(start)
+    lens = np.concatenate(stop) - start
     pieces = []
-    block = max(1, 2**22 // max(n, 1))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        dx = coords[lo:hi, 0:1] - coords[:, 0][None, :]
-        dy = coords[lo:hi, 1:2] - coords[:, 1][None, :]
-        close = (dx * dx + dy * dy) <= r2
-        a, b = np.nonzero(close)
-        a = a + lo
-        keep = a < b  # upper triangle: excludes self-loops and mirrors
-        if keep.any():
-            pieces.append(np.column_stack([a[keep], b[keep]]))
-    edges = np.concatenate(pieces) if pieces else np.empty((0, 2), dtype=np.int64)
-    return Graph(n, edges, coords)
+    block = max(1, 2**22 // max(int(lens.max()), 1))  # <= 2**22 candidates per block
+    for i in range(0, lens.size, block):
+        part = slice(i, i + block)
+        a = order[np.repeat(first[part], lens[part])]
+        b = order[_expand(start[part], lens[part])]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        dx = x[lo] - x[hi]
+        dy = y[lo] - y[hi]
+        close = dx * dx + dy * dy <= r2
+        pieces.append(np.column_stack([lo[close], hi[close]]))
+    return Graph(n, np.concatenate(pieces), coords)
 
 
 def build_topology(spec: TopologySpec) -> Graph:
@@ -217,19 +241,31 @@ def _check_node(g: Graph, u: int) -> None:
         raise ValueError(f"node {u} outside graph of size {g.n}")
 
 
+def _distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Each entry of `values` once, in no set order.
+
+    `slot` is scratch space indexed by value: of the positions written for a
+    repeated value one is kept, so exactly one copy of it survives.
+    """
+    pos = np.arange(values.size)
+    slot[values] = pos
+    return values[slot[values] == pos]
+
+
 def hop_distances(g: Graph, source: int) -> DistanceMap:
     """Breadth-first hop distances from `source`."""
     _check_node(g, source)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
     dist[source] = 0
+    slot = np.empty(g.n, dtype=np.intp)
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while frontier.size:
         targets, _ = gather_neighbors(g, frontier)
-        fresh = np.unique(targets[dist[targets] == UNREACHABLE])
+        fresh = _distinct(targets[dist[targets] == UNREACHABLE], slot)
         d += 1
         dist[fresh] = d
-        frontier = fresh.astype(np.int64)
+        frontier = fresh
     dist.flags.writeable = False
     return DistanceMap(source=int(source), dist=dist)
 
@@ -255,14 +291,15 @@ def ball_distances(g: Graph, center: int, radius: int) -> tuple[np.ndarray, np.n
         raise ValueError("radius must be non-negative")
     dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
     dist[center] = 0
+    slot = np.empty(g.n, dtype=np.intp)
     frontier = np.array([center], dtype=np.int64)
     for d in range(1, radius + 1):
         if not frontier.size:
             break
         targets, _ = gather_neighbors(g, frontier)
-        fresh = np.unique(targets[dist[targets] == UNREACHABLE])
+        fresh = _distinct(targets[dist[targets] == UNREACHABLE], slot)
         dist[fresh] = d
-        frontier = fresh.astype(np.int64)
+        frontier = fresh
     nodes = np.flatnonzero(dist != UNREACHABLE)
     return nodes, dist[nodes]
 

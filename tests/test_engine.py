@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -10,6 +11,8 @@ from gossipsim import (
     Gossip3,
     Gossip4,
     Grid,
+    RandomGeometric,
+    RegularMesh,
     build_topology,
     grid_index,
     hop_distances,
@@ -213,3 +216,67 @@ def test_gossip4_propagates_like_gossip1():
     a = run_execution(g, 0, Gossip4(0.6, 2, 5), 1234)
     b = run_execution(g, 0, Gossip1(0.6, 2), 1234)
     assert a.same_outcome(b)
+
+
+# SHA-256 of seeds 0-4 of every (graph, protocol) pair, recorded before the
+# engine's per-round vectorisation was last reworked.  Any change to a trace
+# array, its dtype or a broadcast count changes the digest.
+_PINNED_TRACE_DIGESTS = {
+    ("grid 20 50", "flooding"): "2c5945915b2de18a57b0aca4630e5558b75b763103dc4554e997384d3c6470b4",
+    ("grid 20 50", "gossip1 0.65 4"): "273e86715e0d93e3031a946d9464d753c59a5c7a2cfa5c74929737aa8b719331",
+    ("grid 20 50", "gossip2 0.6 4 1.0 6"): "2c5945915b2de18a57b0aca4630e5558b75b763103dc4554e997384d3c6470b4",
+    ("grid 20 50", "gossip3 0.65 4 1 2"): "968147ddc3d178ff02e08a18269b196271d44d77d378d6f6d64ac0f56ea7c63f",
+    ("grid 20 50", "gossip4 0.65 1 3"): "406a5c422ad59a8f91b64d585f2d308f2a958d499edfe01e692392f5e5faf789",
+    ("mesh3 10 10", "flooding"): "70bbc9fff6821dca245aa35acb467d432c540091e369c278a6029c82f147138d",
+    ("mesh3 10 10", "gossip1 0.65 4"): "5140634a37357c79d83d1d9dd82e223a96a1f6f567c4ebc81dc4c7f16e504d15",
+    ("mesh3 10 10", "gossip2 0.6 4 1.0 6"): "70bbc9fff6821dca245aa35acb467d432c540091e369c278a6029c82f147138d",
+    ("mesh3 10 10", "gossip3 0.65 4 1 2"): "92ddd876b746c4bb3441e1c1c9c8d1a06e242805169f0f90b5d8b47d894fa5dd",
+    ("mesh3 10 10", "gossip4 0.65 1 3"): "884a355482e31a8e363938cf1e69ca5d103d9d995f4544cd38274741613680ef",
+    ("mesh6 10 10", "flooding"): "0dbab02609561493bdbe5ee27a9e4cf05c5016c6f324b8a4c9e1ad2190b1ce86",
+    ("mesh6 10 10", "gossip1 0.65 4"): "1339355811e95ed884d10e618648956158fdc7b87a6604ed98dcb5652baaf909",
+    ("mesh6 10 10", "gossip2 0.6 4 1.0 6"): "fee89348800e446d7bb1cf5351ea4ab473136f89eddabc8a4eb792776bdfa200",
+    ("mesh6 10 10", "gossip3 0.65 4 1 2"): "f1bfe08e7bef18506d8e60194d0184727a621f9756b33059e839e30be129a3f8",
+    ("mesh6 10 10", "gossip4 0.65 1 3"): "b27f0b7a83d0279de8cb139f7f0a43e7e819c58663ba26dbced65e965d7ffe18",
+    ("rgg 1000 7500 3000 250 38", "flooding"): "db129aee73907c52ddbcabe73046887061f3ebe136901073a14fd2e5401e37b4",
+    ("rgg 1000 7500 3000 250 38", "gossip1 0.65 4"): "419479c5565b54d104f5cae4d957cfa54801343afd53cc2a52cb427331c1dff3",
+    ("rgg 1000 7500 3000 250 38", "gossip2 0.6 4 1.0 6"): "da1cb804e66cbbcdf8f96e485980d3c5ac2def3dcdd4cee3cdedcf4195fd8726",
+    ("rgg 1000 7500 3000 250 38", "gossip3 0.65 4 1 2"): "733d63b45b76565f3538f0e3862522df097399a720d5436be69c554f67aff725",
+    ("rgg 1000 7500 3000 250 38", "gossip4 0.65 1 3"): "a1cdfecc914d296e4898b1b0aabe47795210609cb317a6e04155eb07977ee885",
+}
+
+
+def _trace_digest(traces) -> str:
+    h = hashlib.sha256()
+    for tr in traces:
+        for arr in (tr.received, tr.receive_round, tr.hop, tr.parent,
+                    tr.forwarded, tr.timeout_forward, tr.L_at_receipt):
+            h.update(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+        h.update(str(tr.broadcast_count).encode())
+    return h.hexdigest()
+
+
+def test_traces_match_pinned_digests():
+    graphs = {
+        "grid 20 50": (Grid(20, 50), grid_index(20, 50, 10, 0)),
+        "mesh3 10 10": (RegularMesh(3, 10, 10), grid_index(10, 10, 5, 5)),
+        "mesh6 10 10": (RegularMesh(6, 10, 10), grid_index(10, 10, 5, 5)),
+        "rgg 1000 7500 3000 250 38": (RandomGeometric(1000, 7500, 3000, 250, 38), None),
+    }
+    protocols = {
+        "flooding": FLOODING,
+        "gossip1 0.65 4": Gossip1(0.65, 4),
+        "gossip2 0.6 4 1.0 6": Gossip2(0.6, 4, 1.0, 6),
+        "gossip3 0.65 4 1 2": Gossip3(0.65, 4, 1, 2),
+        "gossip4 0.65 1 3": Gossip4(0.65, 1, 3),
+    }
+    mismatched = []
+    for gname, (topo, src) in graphs.items():
+        g = build_topology(topo)
+        if src is None:
+            src = int(np.argmax(g.degrees))  # node 48, in the giant component
+        for pname, spec in protocols.items():
+            digest = _trace_digest(run_execution(g, src, spec, s) for s in range(5))
+            if digest != _PINNED_TRACE_DIGESTS[gname, pname]:
+                mismatched.append((gname, pname))
+    assert not mismatched

@@ -1,7 +1,9 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gossipsim import (
     UNREACHABLE,
@@ -17,6 +19,7 @@ from gossipsim import (
     load_edgelist,
     save_edgelist,
 )
+from gossipsim.rng import unit_uniforms
 from gossipsim.topology import ball_distances
 
 
@@ -72,6 +75,61 @@ def test_rgg_edge_set_is_exact():
         for v in range(u + 1, g.n):
             d2 = (xy[u, 0] - xy[v, 0]) ** 2 + (xy[u, 1] - xy[v, 1]) ** 2
             assert adj[u, v] == (d2 <= spec.radius**2)
+
+
+def _rgg_all_pairs(spec: RandomGeometric) -> Graph:
+    """Reference O(n^2) build: test every pair, in blocks of rows."""
+    n = spec.n
+    u = unit_uniforms(spec.seed, np.arange(2 * n, dtype=np.int64))
+    coords = np.column_stack([u[0::2] * spec.width, u[1::2] * spec.height])
+    r2 = spec.radius * spec.radius
+    pieces = []
+    block = max(1, 2**22 // max(n, 1))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        dx = coords[lo:hi, 0:1] - coords[:, 0][None, :]
+        dy = coords[lo:hi, 1:2] - coords[:, 1][None, :]
+        close = (dx * dx + dy * dy) <= r2
+        a, b = np.nonzero(close)
+        a = a + lo
+        keep = a < b  # upper triangle: excludes self-loops and mirrors
+        if keep.any():
+            pieces.append(np.column_stack([a[keep], b[keep]]))
+    edges = np.concatenate(pieces) if pieces else np.empty((0, 2), dtype=np.int64)
+    return Graph(n, edges, coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=400),                # nodes
+    st.floats(min_value=-3.0, max_value=6.0),               # log10 width
+    st.floats(min_value=-2.0, max_value=2.0),               # log10 height / width
+    st.floats(min_value=-9.0, max_value=1.0),               # log10 radius / max side
+    st.integers(min_value=0, max_value=10**9),              # instance seed
+)
+def test_rgg_cell_list_matches_all_pairs(n, log_w, log_aspect, log_r, seed):
+    width = 10.0**log_w
+    height = width * 10.0**log_aspect
+    spec = RandomGeometric(n, width, height, max(width, height) * 10.0**log_r, seed)
+    fast, ref = build_topology(spec), _rgg_all_pairs(spec)
+    assert np.array_equal(fast.indptr, ref.indptr)
+    assert np.array_equal(fast.indices, ref.indices)
+    assert np.array_equal(fast.coords, ref.coords)
+
+
+def test_rgg_matches_pinned_digests():
+    # SHA-256 of indptr, indices and coords, recorded with the all-pairs build.
+    pinned = {
+        38: "8b572c6491d13375b9eeedcb0f4883124bcbf56cad73b49026c03a905ebbcc09",
+        28: "3078ea5bce39d1e5c06b03b0f9609d0ce0743244b1bed4e4e12e204911062b05",
+    }
+    for seed, digest in pinned.items():
+        g = build_topology(RandomGeometric(1000, 7500, 3000, 250, seed))
+        h = hashlib.sha256()
+        for arr in (g.indptr, g.indices, g.coords):
+            h.update(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest, seed
 
 
 def test_graph_structural_invariants():
