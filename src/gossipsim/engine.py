@@ -24,6 +24,7 @@ import numpy as np
 
 from .protocols import Gossip2, Gossip3, ProtocolSpec, validate_protocol
 from .rng import child_seed, unit_uniforms
+from .textio import open_text
 from .topology import Graph, gather_neighbors
 
 _NO_KEY = np.iinfo(np.int64).max
@@ -69,7 +70,7 @@ class ExecutionTrace:
 
     def to_csv(self, path_or_file) -> None:
         """One row per node: node,received,round,hop,parent,forwarded,timeout_forward,L."""
-        def _write(f):
+        with open_text(path_or_file, "w") as f:
             f.write("node,received,round,hop,parent,forwarded,timeout_forward,L\n")
             for i in range(self.n):
                 f.write(
@@ -77,12 +78,6 @@ class ExecutionTrace:
                     f"{self.parent[i]},{int(self.forwarded[i])},{int(self.timeout_forward[i])},"
                     f"{self.L_at_receipt[i]}\n"
                 )
-
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            with open(path_or_file, "w", newline="\n") as f:
-                _write(f)
-        else:
-            _write(path_or_file)
 
 
 def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> ExecutionTrace:
@@ -92,43 +87,45 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
         raise ValueError(f"source {source} outside graph of size {g.n}")
 
     n = g.n
+    stride = n + 1
     draws = unit_uniforms(seed, np.arange(n, dtype=np.int64))
-    deg = g.degrees
 
     receive_round = np.full(n, -1, dtype=np.int32)
-    hop = np.full(n, -1, dtype=np.int32)
-    parent = np.full(n, -1, dtype=np.int32)
-    forwarded = np.zeros(n, dtype=bool)
     timeout_forward = np.zeros(n, dtype=bool)
     L_first = np.zeros(n, dtype=np.int32)
-    boost_first = np.zeros(n, dtype=np.uint8)
+    # first_key[v] = hop * (n + 1) + parent of v's first copy (the source's 0
+    # decodes to parent 0 and is reset to -1); send_key[u] is the key u's
+    # broadcast gives its receivers, -1 until u forwards
     first_key = np.full(n, _NO_KEY, dtype=np.int64)
-
-    out_L = np.zeros(n, dtype=np.int32)
-    out_boost = np.zeros(n, dtype=np.uint8)
+    send_key = np.full(n, -1, dtype=np.int64)
 
     is_g2 = isinstance(spec, Gossip2)
     is_g3 = isinstance(spec, Gossip3) and spec.m > 0
+    if is_g2:
+        boost_first = np.zeros(n, dtype=np.uint8)
+        out_boost = (g.degrees < spec.n_thresh).astype(np.uint8)
+    else:
+        coin = draws < spec.p
     if is_g3:
         copies = np.zeros(n, dtype=np.int64)  # int64 + intp index: ufunc.at fast path
+        out_L = np.zeros(n, dtype=np.int32)
     k = spec.k
 
     sends: dict[int, list[np.ndarray]] = {}
     checks: dict[int, list[np.ndarray]] = {}
 
-    def decide(nodes: np.ndarray, round_: int) -> None:
+    def decide(nodes: np.ndarray, h: np.ndarray, round_: int) -> None:
         # forward inside the k zone, otherwise with the protocol's probability
         if is_g2:
-            base = np.where(boost_first[nodes] > 0, spec.p2, spec.p1)
+            lucky = draws[nodes] < np.where(boost_first[nodes] > 0, spec.p2, spec.p1)
         else:
-            base = spec.p
-        go = (hop[nodes] < k) | (draws[nodes] < base)
+            lucky = coin[nodes]
+        go = lucky | (h < k)
         fwd = nodes[go]
         if fwd.size:
-            forwarded[fwd] = True
-            out_L[fwd] = L_first[fwd]
-            if is_g2:
-                out_boost[fwd] = (deg[fwd] < spec.n_thresh).astype(np.uint8)
+            send_key[fwd] = (h[go] + 1) * stride + fwd
+            if is_g3:
+                out_L[fwd] = L_first[fwd]
             sends.setdefault(round_, []).append(fwd)
         if is_g3:
             declined = nodes[~go]
@@ -136,8 +133,8 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
                 checks.setdefault(round_ + spec.timeout_rounds, []).append(declined)
 
     receive_round[source] = 0
-    hop[source] = 0
-    decide(np.array([source], dtype=np.int64), 0)
+    first_key[source] = 0
+    decide(np.array([source], dtype=np.intp), np.zeros(1, dtype=np.int64), 0)
 
     t = 0
     while sends or checks:
@@ -147,23 +144,22 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
             extra = copies[cand] - (cand != source)  # the first copy does not count
             late = cand[extra < spec.m]
             if late.size:
-                forwarded[late] = True
                 timeout_forward[late] = True
+                send_key[late] = (first_key[late] // stride + 1) * stride + late
                 out_L[late] = L_first[late] + 1
                 sends.setdefault(t + 1, []).append(late)
 
-        batches = sends.pop(t, [])
+        batches = sends.pop(t, None)
         if batches:
-            senders = np.concatenate(batches)
-            targets, origin = gather_neighbors(g, senders)
-            targets = targets.astype(np.intp)
+            senders = batches[0] if len(batches) == 1 else np.concatenate(batches)
+            targets, snd = gather_neighbors(g, senders)
             if is_g3:
                 np.add.at(copies, targets, 1)
             fresh = np.flatnonzero(receive_round[targets] == -1)
             nt = targets[fresh]
             if nt.size:
-                snd = senders[origin[fresh]]
-                key = (hop[snd].astype(np.int64) + 1) * (n + 1) + snd
+                snd = snd[fresh]
+                key = send_key[snd]
                 np.minimum.at(first_key, nt, key)
                 if is_g2:
                     np.maximum.at(boost_first, nt, out_boost[snd])
@@ -171,14 +167,18 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
                     np.maximum.at(L_first, nt, out_L[snd])
                 # (target, sender) pairs are unique within a round, so exactly
                 # one entry per new receiver holds its minimum key
-                newly = nt[first_key[nt] == key]
+                won = first_key[nt] == key
+                newly = nt[won]
                 receive_round[newly] = t + 1
-                hop[newly] = (first_key[newly] // (n + 1)).astype(np.int32)
-                parent[newly] = (first_key[newly] % (n + 1)).astype(np.int32)
-                decide(newly, t + 1)
+                decide(newly, key[won] // stride, t + 1)
         t += 1
 
     received = receive_round >= 0
+    forwarded = send_key >= 0
+    hop, parent = np.divmod(first_key, stride)
+    hop = np.where(received, hop, -1).astype(np.int32)
+    parent = np.where(received, parent, -1).astype(np.int32)
+    parent[source] = -1
     for arr in (received, receive_round, hop, parent, forwarded, timeout_forward, L_first):
         arr.flags.writeable = False
     return ExecutionTrace(

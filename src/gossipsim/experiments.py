@@ -13,6 +13,7 @@ child(base_seed, 2**33 + j); a RANDOM source uses child(base_seed, 2**48).
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -429,18 +430,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None, workers
     if "overhead" in cfg.metrics:
         report = accs["overhead"].result()
         rs.results["overhead"] = report
-        def _write_overhead(path):
-            with open(path, "w", newline="\n") as f:
-                f.write(
-                    "mean_broadcasts,ratio,zone_unicasts,baseline,"
-                    "timeout_fraction,frac_L_ge1,timeout_L_le2\n"
-                )
-                le2 = "" if report.timeout_L_le2 is None else repr(report.timeout_L_le2)
-                f.write(
-                    f"{report.mean_broadcasts!r},{report.ratio!r},{report.zone_unicasts!r},{component},"
-                    f"{report.timeout_fraction!r},{report.frac_L_ge1!r},{le2}\n"
-                )
-        _emit("overhead.csv", _write_overhead)
+        le2 = "" if report.timeout_L_le2 is None else repr(report.timeout_L_le2)
+        row = (
+            f"{report.mean_broadcasts!r},{report.ratio!r},{report.zone_unicasts!r},{component},"
+            f"{report.timeout_fraction!r},{report.frac_L_ge1!r},{le2}"
+        )
+        header = "mean_broadcasts,ratio,zone_unicasts,baseline,timeout_fraction,frac_L_ge1,timeout_L_le2"
+        _emit("overhead.csv", lambda path: M._write_csv(path, header, [row]))
     if "zone_coverage" in cfg.metrics:
         zprofile = accs["zone"].result()
         rs.results["zone_coverage"] = zprofile
@@ -448,23 +444,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None, workers
     if "route_length" in cfg.metrics:
         acc = accs["route_length"]
         rs.results["route_length"] = acc.mean_ratio()
-        def _write_rl(path):
-            with open(path, "w", newline="\n") as f:
-                f.write("mean_ratio,samples,min_distance\n")
-                f.write(f"{acc.mean_ratio()!r},{acc.count},{cfg.route_min_distance}\n")
-        _emit("route_length.csv", _write_rl)
+        row = f"{acc.mean_ratio()!r},{acc.count},{cfg.route_min_distance}"
+        _emit("route_length.csv", lambda path: M._write_csv(path, "mean_ratio,samples,min_distance", [row]))
     if "route_discovery" in cfg.metrics:
         rows, summary = _route_discovery(cfg, g, dmap, source)
         rs.results["route_discovery"] = summary
         _emit("route_discovery.csv", lambda path: route_results_to_csv(path, rows))
-        def _write_summary(path):
-            with open(path, "w", newline="\n") as f:
-                f.write("queries,success_rate,one_attempt_rate,mean_broadcasts\n")
-                f.write(
-                    f"{summary['queries']},{summary['success_rate']!r},"
-                    f"{summary['one_attempt_rate']!r},{summary['mean_broadcasts']!r}\n"
-                )
-        _emit("route_summary.csv", _write_summary)
+        row = (
+            f"{summary['queries']},{summary['success_rate']!r},"
+            f"{summary['one_attempt_rate']!r},{summary['mean_broadcasts']!r}"
+        )
+        header = "queries,success_rate,one_attempt_rate,mean_broadcasts"
+        _emit("route_summary.csv", lambda path: M._write_csv(path, header, [row]))
 
     _write_manifest(rs)
     return rs
@@ -480,7 +471,7 @@ def _route_discovery(cfg: ExperimentConfig, g: Graph, dmap, source: int):
     for j in range(cfg.route_queries):
         dest = int(dests[j % dests.size])
         q = query_for(g, source, dest, cfg.protocol, max_attempts=cfg.route_attempts)
-        r = discover_route(g, q, child_seed(cfg.base_seed, _ROUTE_QUERY_STREAM + j))
+        r = discover_route(g, q, child_seed(cfg.base_seed, _ROUTE_QUERY_STREAM + j), dmap)
         rows.append((source, dest, r))
         found += r.found
         one_shot += r.found and r.attempts_used == 1
@@ -552,6 +543,15 @@ def load_manifest(result_dir: str) -> dict:
     return manifest
 
 
+def _read_rows(result_dir: str, name: str) -> list[dict]:
+    """Rows of a result CSV keyed by its header; none if the file is absent."""
+    path = os.path.join(result_dir, name)
+    if not os.path.exists(path):
+        return []
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def report(result_dirs: list[str], out_dir: str = ".") -> str:
     """Consolidated table across experiment directories, plus gnuplot data files."""
     if not result_dirs:
@@ -565,30 +565,17 @@ def report(result_dirs: list[str], out_dir: str = ".") -> str:
         name = manifest["config"]["name"]
         proto = manifest["config"].get("protocol") or "sweep"
         ratio = theta_s = b10 = a80 = a90 = ""
-        over = os.path.join(d, "overhead.csv")
-        if os.path.exists(over):
-            with open(over) as f:
-                ratio = f"{float(f.readlines()[1].split(',')[1]):.3f}"
+        over = _read_rows(d, "overhead.csv")
+        if over:
+            ratio = f"{float(over[0]['ratio']):.3f}"
             overhead_rows.append((name, float(ratio)))
         for theta_name in ("theta.csv", "theta_curve.csv"):
-            tpath = os.path.join(d, theta_name)
-            if os.path.exists(tpath):
-                with open(tpath) as f:
-                    data = f.readlines()[1:]
-                pts = [tuple(float(x) for x in ln.split(",")[:2]) for ln in data if ln.strip()]
-                if pts:
-                    theta_s = f"{pts[-1][1]:.3f}"
-                    theta_blocks.append((name, pts))
-        bpath = os.path.join(d, "bimodal.csv")
-        if os.path.exists(bpath):
-            with open(bpath) as f:
-                for ln in f:
-                    if ln.startswith("below_10pct"):
-                        b10 = f"{float(ln.rsplit(',', 1)[1]):.3f}"
-                    elif ln.startswith("above_80pct"):
-                        a80 = f"{float(ln.rsplit(',', 1)[1]):.3f}"
-                    elif ln.startswith("above_90pct"):
-                        a90 = f"{float(ln.rsplit(',', 1)[1]):.3f}"
+            pts = [(float(r["p"]), float(r["theta_S"])) for r in _read_rows(d, theta_name)]
+            if pts:
+                theta_s = f"{pts[-1][1]:.3f}"
+                theta_blocks.append((name, pts))
+        tails = {r["bin_lo"]: f"{float(r['run_fraction']):.3f}" for r in _read_rows(d, "bimodal.csv")}
+        b10, a80, a90 = (tails.get(key, "") for key in ("below_10pct", "above_80pct", "above_90pct"))
         lines.append(f"{name:<24} {proto:<22} {ratio:>7} {theta_s:>8} {b10:>6} {a80:>6} {a90:>6}")
 
     with open(os.path.join(out_dir, "report_theta.dat"), "w", newline="\n") as f:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .engine import ExecutionTrace
 from .protocols import Gossip3, Gossip4
-from .topology import UNREACHABLE, DistanceMap, Graph, gather_neighbors
+from .textio import open_text
+from .topology import UNREACHABLE, DistanceMap, Graph, zone_levels
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -136,13 +137,12 @@ class ProfileAccumulator(_Consumer):
         self.sum = np.zeros(self.dmax + 1)
         self.sumsq = np.zeros(self.dmax + 1)
 
-    def per_run_fractions(self, trace: ExecutionTrace) -> np.ndarray:
-        mask = trace.received & (self.dmap.dist != UNREACHABLE)
-        got = np.bincount(self.dmap.dist[mask], minlength=self.dmax + 1)
-        return got / self.counts
-
     def add(self, trace: ExecutionTrace) -> None:
-        frac = self.per_run_fractions(trace)
+        self._add_reached(trace.received)
+
+    def _add_reached(self, reached: np.ndarray) -> None:
+        mask = reached & (self.dmap.dist != UNREACHABLE)
+        frac = np.bincount(self.dmap.dist[mask], minlength=self.dmax + 1) / self.counts
         self.runs += 1
         self.sum += frac
         self.sumsq += frac * frac
@@ -238,7 +238,8 @@ class OverheadAccumulator(_Consumer):
     def add(self, trace: ExecutionTrace) -> None:
         self.broadcasts.append(trace.broadcast_count)
         if isinstance(trace.protocol, Gossip4) and trace.protocol.zone_radius > 0 and self.g is not None:
-            self.unicasts.append(_zone_unicast_count(self.g, trace.received, trace.protocol.zone_radius))
+            level = _trace_zone_levels(self.g, trace.received, trace.protocol.zone_radius)
+            self.unicasts.append(int(level[level > 0].sum()))
         if isinstance(trace.protocol, Gossip3):
             self.timeouts += int(trace.timeout_forward.sum())
             sent = trace.sent_L()
@@ -272,13 +273,7 @@ class ZoneCoverageAccumulator(_Consumer):
         self.inner = ProfileAccumulator(dmap)
 
     def add(self, trace: ExecutionTrace) -> None:
-        covered = zone_covered(self.g, trace.received, self.zone_radius)
-        mask = covered & (self.inner.dmap.dist != UNREACHABLE)
-        got = np.bincount(self.inner.dmap.dist[mask], minlength=self.inner.dmax + 1)
-        frac = got / self.inner.counts
-        self.inner.runs += 1
-        self.inner.sum += frac
-        self.inner.sumsq += frac * frac
+        self.inner._add_reached(_trace_zone_levels(self.g, trace.received, self.zone_radius) >= 0)
 
     def result(self) -> DistanceProfile:
         return self.inner.result()
@@ -309,36 +304,30 @@ class RouteLengthAccumulator(_Consumer):
 
 def zone_covered(g: Graph, received: np.ndarray, zone_radius: int) -> np.ndarray:
     """Nodes within `zone_radius` hops of any receiver (receivers included)."""
-    covered = received.copy()
-    frontier = np.flatnonzero(received)
-    for _ in range(zone_radius):
-        if not frontier.size:
-            break
-        targets, _ = gather_neighbors(g, frontier)
-        fresh = np.unique(targets[~covered[targets]])
-        covered[fresh] = True
-        frontier = fresh
-    return covered
+    return zone_levels(g, received, zone_radius) >= 0
 
 
-def _zone_unicast_count(g: Graph, received: np.ndarray, zone_radius: int) -> int:
-    """Unicast transmissions to reach every covered non-receiver.
+# (received, graph, radius, levels) of the last trace, so the overhead and
+# zone-coverage accumulators share one BFS per trace
+_last_zone: Optional[tuple] = None
 
-    Each covered node that did not receive directly is served by its nearest
-    receiver; one transmission per hop on that path.
-    """
-    level = np.where(received, 0, -1).astype(np.int32)
-    frontier = np.flatnonzero(received)
-    total = 0
-    for d in range(1, zone_radius + 1):
-        if not frontier.size:
-            break
-        targets, _ = gather_neighbors(g, frontier)
-        fresh = np.unique(targets[level[targets] == -1])
-        level[fresh] = d
-        total += int(fresh.size) * d
-        frontier = fresh
-    return total
+
+def _trace_zone_levels(g: Graph, received: np.ndarray, zone_radius: int) -> np.ndarray:
+    """`zone_levels`, memoized on a trace's read-only `received` array."""
+    global _last_zone
+    memo = _last_zone
+    if (
+        memo is not None
+        and memo[0] is received
+        and memo[1] is g
+        and memo[2] == zone_radius
+        and not received.flags.writeable
+    ):
+        return memo[3]
+    level = zone_levels(g, received, zone_radius)
+    level.flags.writeable = False
+    _last_zone = (received, g, zone_radius, level) if not received.flags.writeable else None
+    return level
 
 
 def receive_fraction_by_distance(traces: Iterable[ExecutionTrace], dmap: DistanceMap) -> DistanceProfile:
@@ -418,13 +407,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path_or_file, header: str, rows: Iterable[str]) -> None:
-    def _write(f):
+    with open_text(path_or_file, "w") as f:
         f.write(header + "\n")
         for row in rows:
             f.write(row + "\n")
-
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="\n") as f:
-            _write(f)
-    else:
-        _write(path_or_file)

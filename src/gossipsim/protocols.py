@@ -87,13 +87,11 @@ def validate_protocol(spec: ProtocolSpec) -> None:
         raise ValueError("k must be non-negative")
 
 
-def forward_probability(spec: ProtocolSpec, hop: int, boost: bool = False, my_degree: int = 0) -> float:
+def forward_probability(spec: ProtocolSpec, hop: int, boost: bool = False) -> float:
     """Probability that a node whose first copy arrived at `hop` forwards.
 
     `boost` marks a copy sent by a low-degree node under Gossip2 (the sender
-    instructs its immediate neighbors to use p2).  `my_degree` is accepted
-    for protocols keyed on the receiver's own degree; none of the built-in
-    variants use it.
+    instructs its immediate neighbors to use p2).
     """
     if hop < 0:
         raise ValueError("hop must be non-negative")

@@ -18,6 +18,7 @@ import numpy as np
 from .engine import ExecutionTrace, run_execution
 from .protocols import Gossip4, ProtocolSpec, validate_protocol
 from .rng import child_seed, unit_uniforms
+from .textio import open_text
 from .topology import UNREACHABLE, DistanceMap, Graph, ball_distances, hop_distances
 
 
@@ -75,11 +76,20 @@ def _delivery(trace: ExecutionTrace, ball_nodes: np.ndarray, ball_dist: np.ndarr
     return int(lengths.min())
 
 
-def discover_route(g: Graph, q: RouteQuery, base_seed: int) -> RouteResult:
-    """Run up to max_attempts independent executions, stopping at the first hit."""
+def discover_route(
+    g: Graph, q: RouteQuery, base_seed: int, dmap: Optional[DistanceMap] = None
+) -> RouteResult:
+    """Run up to max_attempts independent executions, stopping at the first hit.
+
+    `dmap`, the hop distances from `q.source` if the caller has them, saves a
+    BFS per query.
+    """
     if not (0 <= q.dest < g.n):
         raise ValueError(f"destination {q.dest} outside graph of size {g.n}")
-    dmap = hop_distances(g, q.source)
+    if dmap is None:
+        dmap = hop_distances(g, q.source)
+    elif dmap.source != q.source or dmap.dist.size != g.n:
+        raise ValueError(f"distance map from node {dmap.source} does not fit query source {q.source}")
     shortest = int(dmap.dist[q.dest]) if dmap.dist[q.dest] != UNREACHABLE else None
     ball_nodes, ball_dist = ball_distances(g, q.dest, q.zone_radius)
     total = 0
@@ -189,15 +199,9 @@ def expanding_ring_search(
 
 def route_results_to_csv(path_or_file, rows: Sequence[tuple[int, int, RouteResult]]) -> None:
     """Rows `src,dst,found,attempts,broadcasts,route_len,shortest_len`."""
-    def _write(f):
+    with open_text(path_or_file, "w") as f:
         f.write("src,dst,found,attempts,broadcasts,route_len,shortest_len\n")
         for src, dst, r in rows:
             rl = "" if r.route_length is None else r.route_length
             sl = "" if r.shortest_length is None else r.shortest_length
             f.write(f"{src},{dst},{int(r.found)},{r.attempts_used},{r.total_broadcasts},{rl},{sl}\n")
-
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="\n") as f:
-            _write(f)
-    else:
-        _write(path_or_file)

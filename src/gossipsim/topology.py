@@ -12,13 +12,13 @@ Mesh constructions (each regular away from the boundary):
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .rng import unit_uniforms
+from .textio import open_text
 
 UNREACHABLE = -1
 
@@ -51,7 +51,7 @@ TopologySpec = Union[Grid, RegularMesh, RandomGeometric]
 class Graph:
     """Undirected graph with sorted neighbor lists, stored in CSR form."""
 
-    __slots__ = ("n", "indptr", "indices", "degrees", "coords")
+    __slots__ = ("n", "indptr", "indices", "indices_intp", "degrees", "coords")
 
     def __init__(self, n: int, edges: np.ndarray, coords: Optional[np.ndarray] = None):
         """Build from an (m, 2) array of edges with u < v, no duplicates."""
@@ -73,11 +73,12 @@ class Graph:
         self.degrees = np.bincount(src, minlength=n).astype(np.int64)
         self.indptr = np.concatenate([[0], np.cumsum(self.degrees)]).astype(np.int64)
         self.indices = dst.astype(np.int32)
+        self.indices_intp = dst.astype(np.intp)  # index-ready copy for gather_neighbors
         if coords is not None:
             coords = np.asarray(coords, dtype=np.float64).reshape(n, 2)
             coords.flags.writeable = False
         self.coords = coords
-        for arr in (self.indptr, self.indices, self.degrees):
+        for arr in (self.indptr, self.indices, self.indices_intp, self.degrees):
             arr.flags.writeable = False
 
     def neighbors(self, u: int) -> np.ndarray:
@@ -111,9 +112,6 @@ class DistanceMap:
         reach = self.dist[self.dist != UNREACHABLE]
         return np.bincount(reach, minlength=self.max_distance + 1)
 
-    def nodes_at(self, d: int) -> np.ndarray:
-        return np.flatnonzero(self.dist == d)
-
 
 @dataclass(frozen=True)
 class DegreeStats:
@@ -124,22 +122,21 @@ class DegreeStats:
 
 def _expand(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenation of the ranges starts[i] .. starts[i] + lens[i] - 1."""
-    cum = np.cumsum(lens)
-    return np.arange(int(cum[-1]), dtype=np.int64) + np.repeat(starts - (cum - lens), lens)
+    cum = lens.cumsum()
+    return np.arange(int(cum[-1]), dtype=np.int64) + (starts - (cum - lens)).repeat(lens)
 
 
 def gather_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated neighbor lists of `nodes`.
 
-    Returns (targets, origin): `targets[j]` is a neighbor of
-    `nodes[origin[j]]`, in CSR order.
+    Returns (targets, senders), both intp: `targets[j]` is a neighbor of
+    `senders[j]`, in the order of `nodes` and then CSR order.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.intp)
+    if not nodes.size:
+        return np.array([], dtype=np.intp), np.array([], dtype=np.intp)
     lens = g.degrees[nodes]
-    if not lens.any():
-        return np.array([], dtype=np.int32), np.array([], dtype=np.int64)
-    idx = _expand(g.indptr[nodes], lens)
-    return g.indices[idx], np.repeat(np.arange(nodes.size, dtype=np.int64), lens)
+    return g.indices_intp[_expand(g.indptr[nodes], lens)], nodes.repeat(lens)
 
 
 def grid_index(rows: int, cols: int, r: int, c: int) -> int:
@@ -252,20 +249,25 @@ def _distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return values[slot[values] == pos]
 
 
+def _levels(g: Graph, sources: np.ndarray, radius: Optional[int]) -> np.ndarray:
+    """Hops from the nearest of `sources`, UNREACHABLE beyond `radius` (None: no bound)."""
+    level = np.full(g.n, UNREACHABLE, dtype=np.int32)
+    level[sources] = 0
+    slot = np.empty(g.n, dtype=np.intp)
+    frontier = sources
+    d = 0
+    while frontier.size and (radius is None or d < radius):
+        targets, _ = gather_neighbors(g, frontier)
+        frontier = _distinct(targets[level[targets] == UNREACHABLE], slot)
+        d += 1
+        level[frontier] = d
+    return level
+
+
 def hop_distances(g: Graph, source: int) -> DistanceMap:
     """Breadth-first hop distances from `source`."""
     _check_node(g, source)
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
-    dist[source] = 0
-    slot = np.empty(g.n, dtype=np.intp)
-    frontier = np.array([source], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        targets, _ = gather_neighbors(g, frontier)
-        fresh = _distinct(targets[dist[targets] == UNREACHABLE], slot)
-        d += 1
-        dist[fresh] = d
-        frontier = fresh
+    dist = _levels(g, np.array([source], dtype=np.intp), None)
     dist.flags.writeable = False
     return DistanceMap(source=int(source), dist=dist)
 
@@ -289,24 +291,24 @@ def ball_distances(g: Graph, center: int, radius: int) -> tuple[np.ndarray, np.n
     _check_node(g, center)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
-    dist[center] = 0
-    slot = np.empty(g.n, dtype=np.intp)
-    frontier = np.array([center], dtype=np.int64)
-    for d in range(1, radius + 1):
-        if not frontier.size:
-            break
-        targets, _ = gather_neighbors(g, frontier)
-        fresh = _distinct(targets[dist[targets] == UNREACHABLE], slot)
-        dist[fresh] = d
-        frontier = fresh
+    dist = _levels(g, np.array([center], dtype=np.intp), radius)
     nodes = np.flatnonzero(dist != UNREACHABLE)
     return nodes, dist[nodes]
 
 
+def zone_levels(g: Graph, received: np.ndarray, radius: int) -> np.ndarray:
+    """Hops from each node to the nearest receiver, UNREACHABLE beyond `radius`.
+
+    Receivers read 0, so `level >= 0` is the zone-covered set and
+    `level[level > 0].sum()` counts one unicast per hop from the nearest
+    receiver to every covered non-receiver.
+    """
+    return _levels(g, np.flatnonzero(received), radius)
+
+
 def save_edgelist(g: Graph, path_or_file) -> None:
     """Write the plain-text edge-list format (`n`, `u v`, optional `c` lines)."""
-    def _write(f):
+    with open_text(path_or_file, "w") as f:
         f.write(f"n {g.n}\n")
         for u, v in g.edges():
             f.write(f"{u} {v}\n")
@@ -314,20 +316,11 @@ def save_edgelist(g: Graph, path_or_file) -> None:
             for i in range(g.n):
                 f.write(f"c {i} {float(g.coords[i, 0])!r} {float(g.coords[i, 1])!r}\n")
 
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w", newline="\n") as f:
-            _write(f)
-    else:
-        _write(path_or_file)
-
 
 def load_edgelist(path_or_file) -> Graph:
     """Read a graph written by `save_edgelist`; round-trips bit-exactly."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file) as f:
-            text = f.read()
-    else:
-        text = path_or_file.read()
+    with open_text(path_or_file) as f:
+        text = f.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n "):
         raise ValueError("edge list must start with a 'n <count>' header")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -236,6 +237,31 @@ def test_report_flooding_ratio_one(tmp_path):
     assert (tmp_path / "report_theta.dat").exists()
     assert (tmp_path / "report_overhead.dat").exists()
     assert (tmp_path / "report.gp").exists()
+
+
+def test_report_reads_columns_by_header(tmp_path):
+    # columns in an order no writer uses: report must go by the header
+    d = tmp_path / "shuffled"
+    d.mkdir()
+    files = {
+        "overhead.csv": "baseline,zone_unicasts,mean_broadcasts,ratio\n100,0.0,40.0,0.4\n",
+        "theta_curve.csv": "theta_R,theta_S,ci_lo,ci_hi,p\n,0.25,0.2,0.3,0.6\n0.9,0.75,0.7,0.8,0.7\n",
+        "bimodal.csv": (
+            "run_fraction,bin_hi,bin_lo\n0.5,0.1,0.0\n"
+            "0.125,,below_10pct\n0.25,,above_80pct\n0.375,,above_90pct\n"
+        ),
+    }
+    artifacts = {}
+    for name, text in files.items():
+        (d / name).write_text(text)
+        artifacts[name] = hashlib.sha256(text.encode()).hexdigest()
+    manifest = {"config": {"name": "shuffled", "protocol": "gossip1(0.6,1)"}, "artifacts": artifacts}
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    table = report([str(d)], out_dir=str(tmp_path))
+    row = [ln for ln in table.splitlines() if ln.startswith("shuffled")][0]
+    assert row.split()[2:] == ["0.400", "0.750", "0.125", "0.250", "0.375"]
+    assert (tmp_path / "report_overhead.dat").read_text().splitlines()[1] == "shuffled 0.4"
+    assert "0.6 0.25\n0.7 0.75\n" in (tmp_path / "report_theta.dat").read_text()
 
 
 def test_report_errors(tmp_path):

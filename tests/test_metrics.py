@@ -193,6 +193,24 @@ def test_zone_unicast_accounting():
     assert report.zone_unicasts == 3.0
 
 
+def test_zone_levels_shared_once_per_trace():
+    from gossipsim.metrics import _trace_zone_levels
+    from gossipsim.topology import zone_levels
+
+    g = line_graph(8)
+    tr = run_execution(g, 0, Gossip4(0.0, 1, 2), 3)
+    first = _trace_zone_levels(g, tr.received, 2)
+    assert _trace_zone_levels(g, tr.received, 2) is first
+    assert _trace_zone_levels(g, tr.received, 3) is not first
+    # a writable array is never memoized: changing it changes the result
+    received = tr.received.copy()
+    before = _trace_zone_levels(g, received, 2).copy()
+    received[7] = True
+    after = _trace_zone_levels(g, received, 2)
+    assert np.array_equal(after, zone_levels(g, received, 2))
+    assert not np.array_equal(before, after)
+
+
 def test_route_length_ratio_flooding_is_one(grid_setup):
     g, src, dm = grid_setup
     tr = run_execution(g, src, FLOODING, 17)

@@ -89,6 +89,22 @@ def test_zone_delivery_route_length():
     assert not discover_route(g, q0, 9).found
 
 
+def test_discover_route_reuses_distance_map():
+    g = build_topology(RandomGeometric(100, 2200, 600, 250, 34))
+    src = int(np.argmin(g.coords[:, 0]))
+    dm = hop_distances(g, src)
+    dests = np.flatnonzero(dm.dist > 0)[::7]
+    for spec in (FLOODING, Gossip1(0.5, 1), Gossip3(0.5, 1, 1, 2), Gossip4(0.5, 1, 2)):
+        for j, dest in enumerate(dests):
+            q = query_for(g, src, int(dest), spec, max_attempts=2)
+            assert discover_route(g, q, child_seed(3, j), dm) == discover_route(g, q, child_seed(3, j))
+    other = hop_distances(g, int(dests[0]))
+    with pytest.raises(ValueError):
+        discover_route(g, query_for(g, src, int(dests[1]), FLOODING), 1, other)
+    with pytest.raises(ValueError):
+        discover_route(line_graph(5), query_for(None, src, 1, FLOODING), 1, dm)
+
+
 def test_multi_attempt_success_matches_independence():
     # measured two-attempt rate ~= 1 - (1 - s)^2 for the measured s
     g = random_graph(60, 0.10, 42)

@@ -20,7 +20,9 @@ from gossipsim import (
     save_edgelist,
 )
 from gossipsim.rng import unit_uniforms
-from gossipsim.topology import ball_distances
+from gossipsim.topology import ball_distances, gather_neighbors, zone_levels
+
+from conftest import random_graph
 
 
 def test_grid_20x50_shape():
@@ -238,6 +240,69 @@ def test_ball_distances():
         assert dm.dist[u] == d
     nodes0, dists0 = ball_distances(g, center, 0)
     assert list(nodes0) == [center] and list(dists0) == [0]
+
+
+def test_gather_neighbors_contract():
+    # node 4 has no neighbours; frontiers may repeat nodes and come unsorted
+    g = Graph(5, np.array([[0, 1], [0, 2], [1, 3]]))
+    for nodes in ([], [4], [4, 4], [0], [3, 0, 0, 4, 1], [1, 1], [2, 4, 2]):
+        targets, senders = gather_neighbors(g, np.array(nodes, dtype=np.int64))
+        assert targets.dtype == senders.dtype == np.intp
+        assert targets.tolist() == [int(v) for u in nodes for v in g.neighbors(u)]
+        assert senders.tolist() == [u for u in nodes for _ in g.neighbors(u)]
+    g = random_graph(40, 0.1, 11)
+    nodes = np.array([7, 3, 3, 39, 0, 7], dtype=np.int64)
+    targets, senders = gather_neighbors(g, nodes)
+    assert np.array_equal(targets, np.concatenate([g.neighbors(u) for u in nodes]))
+    assert np.array_equal(senders, np.repeat(nodes, g.degrees[nodes]))
+
+
+# The two bounded BFS loops that zone_levels replaced, kept as its reference.
+def _reference_zone_covered(g, received, zone_radius):
+    covered = received.copy()
+    frontier = np.flatnonzero(received)
+    for _ in range(zone_radius):
+        if not frontier.size:
+            break
+        targets, _ = gather_neighbors(g, frontier)
+        fresh = np.unique(targets[~covered[targets]])
+        covered[fresh] = True
+        frontier = fresh
+    return covered
+
+
+def _reference_zone_unicast_count(g, received, zone_radius):
+    level = np.where(received, 0, -1).astype(np.int32)
+    frontier = np.flatnonzero(received)
+    total = 0
+    for d in range(1, zone_radius + 1):
+        if not frontier.size:
+            break
+        targets, _ = gather_neighbors(g, frontier)
+        fresh = np.unique(targets[level[targets] == -1])
+        level[fresh] = d
+        total += int(fresh.size) * d
+        frontier = fresh
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=0.0, max_value=0.3),
+    st.integers(min_value=0, max_value=4),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10**9),
+)
+def test_zone_levels_matches_reference_loops(n, edge_prob, radius, receive_prob, seed):
+    g = random_graph(n, edge_prob, seed)
+    received = unit_uniforms(seed + 1, np.arange(n, dtype=np.int64)) < receive_prob
+    level = zone_levels(g, received, radius)
+    assert level.dtype == np.int32
+    assert np.array_equal(level == 0, received)
+    assert np.array_equal(level >= 0, _reference_zone_covered(g, received, radius))
+    assert int(level[level > 0].sum()) == _reference_zone_unicast_count(g, received, radius)
+    assert level.max(initial=0) <= radius
 
 
 def test_edge_list_roundtrip_bit_exact():
