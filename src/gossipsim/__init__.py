@@ -9,7 +9,6 @@ from .protocols import (
     Gossip4,
     ProtocolSpec,
     effective_probability,
-    forward_probability,
     protocol_name,
     validate_protocol,
 )
@@ -22,7 +21,6 @@ from .topology import (
     RegularMesh,
     TopologySpec,
     build_topology,
-    component_of,
     degree_stats,
     grid_index,
     hop_distances,
@@ -46,10 +44,8 @@ __all__ = [
     "TopologySpec",
     "UNREACHABLE",
     "build_topology",
-    "component_of",
     "degree_stats",
     "effective_probability",
-    "forward_probability",
     "grid_index",
     "hop_distances",
     "iter_batch",

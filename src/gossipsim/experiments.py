@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .rng import child_seed
 from .routing import discover_route, query_for, route_results_to_csv
 from .topology import (
     UNREACHABLE,
+    DistanceMap,
     Graph,
     Grid,
     RandomGeometric,
@@ -50,9 +51,6 @@ from .topology import (
 )
 
 SCHEMA_VERSION = 1
-KNOWN_METRICS = frozenset(
-    ["profile", "bimodal", "theta", "overhead", "zone_coverage", "route_length", "route_discovery"]
-)
 _KNOWN_KEYS = frozenset(
     [
         "schema_version",
@@ -260,10 +258,26 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     needs_band = cfg.metrics & {"bimodal", "theta"}
     if needs_band and cfg.band is None:
         raise ConfigError(f"metrics {sorted(needs_band)} require a band")
-    if cfg.p_sweep is not None and cfg.sweep_k is None:
-        raise ConfigError("p_sweep requires sweep_k")
-    if cfg.metrics and cfg.protocol is None and cfg.p_sweep is None:
+    if "zone_coverage" in cfg.metrics and _zone_radius(cfg) is None:
+        raise ConfigError("zone_coverage metric requires zone_radius (or a gossip4 protocol)")
+    if (cfg.p_sweep is None) != (cfg.sweep_k is None):
+        raise ConfigError("p_sweep and sweep_k go together")
+    if cfg.p_sweep is not None:
+        if cfg.protocol is not None:
+            raise ConfigError("a p_sweep runs gossip1(p, sweep_k); it takes no protocol")
+        if cfg.metrics - {"theta"}:
+            raise ConfigError("a p_sweep computes only the theta metric")
+        if cfg.band is None:
+            raise ConfigError("p_sweep requires a band")
+    elif cfg.metrics and cfg.protocol is None:
         raise ConfigError("metrics require a protocol (or a p_sweep)")
+
+
+def _zone_radius(cfg: ExperimentConfig) -> Optional[int]:
+    """The configured zone radius, else the gossip4 protocol's."""
+    if cfg.zone_radius is not None:
+        return cfg.zone_radius
+    return getattr(cfg.protocol, "zone_radius", None)
 
 
 def resolve_source(cfg: ExperimentConfig, g: Graph) -> int:
@@ -338,7 +352,32 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _write_manifest(rs: ResultSet, extra: Optional[dict] = None) -> None:
+def _setup(cfg: ExperimentConfig, out_dir: Optional[str]) -> tuple[ResultSet, Graph, DistanceMap]:
+    """Graph, source, distances and the graph-dependent checks; writes nothing."""
+    g = build_topology(cfg.topology)
+    source = resolve_source(cfg, g)
+    dmap = hop_distances(g, source)
+    component = int((dmap.dist != UNREACHABLE).sum())
+    if "theta" in cfg.metrics or cfg.p_sweep is not None:
+        _check_theta_placement(cfg, g, dmap)
+    rs = ResultSet(
+        config=cfg,
+        out_dir=out_dir or cfg.out or cfg.name,
+        source_node=source,
+        component_size=component,
+        excluded_nodes=g.n - component,
+        artifacts={},
+    )
+    return rs, g, dmap
+
+
+def _emit(rs: ResultSet, writers: dict[str, Callable[[str], None]]) -> ResultSet:
+    """Create the output directory, write and hash each artifact, then the manifest."""
+    os.makedirs(rs.out_dir, exist_ok=True)
+    for name, write in writers.items():
+        path = os.path.join(rs.out_dir, name)
+        write(path)
+        rs.artifacts[name] = _sha256(path)
     combined = hashlib.sha256()
     for name in sorted(rs.artifacts):
         combined.update(name.encode())
@@ -353,11 +392,65 @@ def _write_manifest(rs: ResultSet, extra: Optional[dict] = None) -> None:
         "artifacts": rs.artifacts,
         "hash": combined.hexdigest(),
     }
-    if extra:
-        manifest.update(extra)
     with open(rs.manifest_path, "w", newline="\n") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+    return rs
+
+
+def _row_writer(header: str, row: str) -> Callable[[str], None]:
+    return lambda path: M._write_csv(path, header, [row])
+
+
+def _own_csv(result):
+    return result, result.to_csv
+
+
+def _finish_theta(acc: M.CoverageAccumulator, cfg: ExperimentConfig):
+    est = acc.theta(cfg.extinction_threshold)
+    p = getattr(cfg.protocol, "p", getattr(cfg.protocol, "p1", 1.0))
+    return est, lambda path: M.theta_rows_to_csv(path, [(p, est)])
+
+
+def _finish_overhead(acc: M.OverheadAccumulator, cfg: ExperimentConfig):
+    r = acc.result()
+    le2 = "" if r.timeout_L_le2 is None else repr(r.timeout_L_le2)
+    row = (
+        f"{r.mean_broadcasts!r},{r.ratio!r},{r.zone_unicasts!r},{acc.baseline},"
+        f"{r.timeout_fraction!r},{r.frac_L_ge1!r},{le2}"
+    )
+    header = "mean_broadcasts,ratio,zone_unicasts,baseline,timeout_fraction,frac_L_ge1,timeout_L_le2"
+    return r, _row_writer(header, row)
+
+
+def _finish_route_length(acc: M.RouteLengthAccumulator, cfg: ExperimentConfig):
+    ratio = acc.mean_ratio()
+    return ratio, _row_writer("mean_ratio,samples,min_distance", f"{ratio!r},{acc.count},{acc.min_distance}")
+
+
+def _coverage(rs: ResultSet, g: Graph, dmap: DistanceMap) -> M.CoverageAccumulator:
+    return M.CoverageAccumulator(dmap, rs.config.band)
+
+
+# metric -> (accumulator factory(rs, g, dmap), finish(acc, cfg) returning the
+# metric's result and the writer of its artifact, <metric>.csv).  Metrics that
+# name the same factory share one accumulator.
+_METRICS = {
+    "profile": (lambda rs, g, dmap: M.ProfileAccumulator(dmap), lambda acc, cfg: _own_csv(acc.result())),
+    "bimodal": (_coverage, lambda acc, cfg: _own_csv(acc.summary())),
+    "theta": (_coverage, _finish_theta),
+    "overhead": (lambda rs, g, dmap: M.OverheadAccumulator(rs.component_size, g), _finish_overhead),
+    "zone_coverage": (
+        lambda rs, g, dmap: M.ZoneCoverageAccumulator(g, dmap, _zone_radius(rs.config)),
+        lambda acc, cfg: _own_csv(acc.result()),
+    ),
+    "route_length": (
+        lambda rs, g, dmap: M.RouteLengthAccumulator(dmap, rs.config.route_min_distance),
+        _finish_route_length,
+    ),
+}
+# route_discovery runs its own queries rather than reading the batch
+KNOWN_METRICS = frozenset(_METRICS) | {"route_discovery"}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None, workers: int = 1) -> ResultSet:
@@ -366,102 +459,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None, workers
         raise ConfigError("config declares p_sweep; use sweep_probability")
     if cfg.protocol is None:
         raise ConfigError("run requires a protocol")
-    out_dir = out_dir or cfg.out or cfg.name
-    os.makedirs(out_dir, exist_ok=True)
-
-    g = build_topology(cfg.topology)
-    source = resolve_source(cfg, g)
-    dmap = hop_distances(g, source)
-    component = int((dmap.dist != UNREACHABLE).sum())
-    excluded = g.n - component
-    if "theta" in cfg.metrics:
-        _check_theta_placement(cfg, g, dmap)
-
-    zone_radius = cfg.zone_radius
-    if zone_radius is None and isinstance(cfg.protocol, Gossip4):
-        zone_radius = cfg.protocol.zone_radius
-    if "zone_coverage" in cfg.metrics and zone_radius is None:
-        raise ConfigError("zone_coverage metric requires zone_radius (or a gossip4 protocol)")
-
-    accs: dict[str, object] = {}
-    if "profile" in cfg.metrics:
-        accs["profile"] = M.ProfileAccumulator(dmap)
-    if cfg.metrics & {"bimodal", "theta"}:
-        accs["coverage"] = M.CoverageAccumulator(dmap, cfg.band)
-    if "overhead" in cfg.metrics:
-        accs["overhead"] = M.OverheadAccumulator(component, g)
-    if "zone_coverage" in cfg.metrics:
-        accs["zone"] = M.ZoneCoverageAccumulator(g, dmap, zone_radius)
-    if "route_length" in cfg.metrics:
-        accs["route_length"] = M.RouteLengthAccumulator(dmap, cfg.route_min_distance)
-
+    rs, g, dmap = _setup(cfg, out_dir)
+    metrics = {name: entry for name, entry in _METRICS.items() if name in cfg.metrics}
+    accs = {}
+    for make, _ in metrics.values():
+        if make not in accs:
+            accs[make] = make(rs, g, dmap)
+    writers = {}
+    if "route_discovery" in cfg.metrics:  # first, so a bad route_distance fails before the batch
+        rs.results["route_discovery"], writers = _route_discovery(rs, g, dmap)
     if accs:
-        for trace in iter_batch(g, source, cfg.protocol, cfg.runs, cfg.base_seed, workers=workers):
+        for trace in iter_batch(g, rs.source_node, cfg.protocol, cfg.runs, cfg.base_seed, workers=workers):
             for acc in accs.values():
                 acc.add(trace)
-
-    rs = ResultSet(
-        config=cfg,
-        out_dir=out_dir,
-        source_node=source,
-        component_size=component,
-        excluded_nodes=excluded,
-        artifacts={},
-    )
-
-    def _emit(name: str, writer) -> None:
-        path = os.path.join(out_dir, name)
-        writer(path)
-        rs.artifacts[name] = _sha256(path)
-
-    if "profile" in cfg.metrics:
-        profile = accs["profile"].result()
-        rs.results["profile"] = profile
-        _emit("profile.csv", profile.to_csv)
-    if "bimodal" in cfg.metrics:
-        summary = accs["coverage"].summary()
-        rs.results["bimodal"] = summary
-        _emit("bimodal.csv", summary.to_csv)
-    if "theta" in cfg.metrics:
-        est = accs["coverage"].theta(cfg.extinction_threshold)
-        rs.results["theta"] = est
-        p = getattr(cfg.protocol, "p", getattr(cfg.protocol, "p1", 1.0))
-        _emit("theta.csv", lambda path: M.theta_rows_to_csv(path, [(p, est)]))
-    if "overhead" in cfg.metrics:
-        report = accs["overhead"].result()
-        rs.results["overhead"] = report
-        le2 = "" if report.timeout_L_le2 is None else repr(report.timeout_L_le2)
-        row = (
-            f"{report.mean_broadcasts!r},{report.ratio!r},{report.zone_unicasts!r},{component},"
-            f"{report.timeout_fraction!r},{report.frac_L_ge1!r},{le2}"
-        )
-        header = "mean_broadcasts,ratio,zone_unicasts,baseline,timeout_fraction,frac_L_ge1,timeout_L_le2"
-        _emit("overhead.csv", lambda path: M._write_csv(path, header, [row]))
-    if "zone_coverage" in cfg.metrics:
-        zprofile = accs["zone"].result()
-        rs.results["zone_coverage"] = zprofile
-        _emit("zone_coverage.csv", zprofile.to_csv)
-    if "route_length" in cfg.metrics:
-        acc = accs["route_length"]
-        rs.results["route_length"] = acc.mean_ratio()
-        row = f"{acc.mean_ratio()!r},{acc.count},{cfg.route_min_distance}"
-        _emit("route_length.csv", lambda path: M._write_csv(path, "mean_ratio,samples,min_distance", [row]))
-    if "route_discovery" in cfg.metrics:
-        rows, summary = _route_discovery(cfg, g, dmap, source)
-        rs.results["route_discovery"] = summary
-        _emit("route_discovery.csv", lambda path: route_results_to_csv(path, rows))
-        row = (
-            f"{summary['queries']},{summary['success_rate']!r},"
-            f"{summary['one_attempt_rate']!r},{summary['mean_broadcasts']!r}"
-        )
-        header = "queries,success_rate,one_attempt_rate,mean_broadcasts"
-        _emit("route_summary.csv", lambda path: M._write_csv(path, header, [row]))
-
-    _write_manifest(rs)
-    return rs
+    for name, (make, finish) in metrics.items():
+        rs.results[name], writers[f"{name}.csv"] = finish(accs[make], cfg)
+    return _emit(rs, writers)
 
 
-def _route_discovery(cfg: ExperimentConfig, g: Graph, dmap, source: int):
+def _route_discovery(rs: ResultSet, g: Graph, dmap: DistanceMap):
+    cfg, source = rs.config, rs.source_node
     dests = np.flatnonzero(dmap.dist == cfg.route_distance)
     if not dests.size:
         raise ConfigError(f"no destinations at distance {cfg.route_distance}")
@@ -482,46 +499,29 @@ def _route_discovery(cfg: ExperimentConfig, g: Graph, dmap, source: int):
         "one_attempt_rate": one_shot / cfg.route_queries,
         "mean_broadcasts": broadcasts / cfg.route_queries,
     }
-    return rows, summary
+    row = (
+        f"{summary['queries']},{summary['success_rate']!r},"
+        f"{summary['one_attempt_rate']!r},{summary['mean_broadcasts']!r}"
+    )
+    return summary, {
+        "route_discovery.csv": lambda path: route_results_to_csv(path, rows),
+        "route_summary.csv": _row_writer("queries,success_rate,one_attempt_rate,mean_broadcasts", row),
+    }
 
 
 def sweep_probability(cfg: ExperimentConfig, out_dir: Optional[str] = None, workers: int = 1) -> ResultSet:
     """Theta estimate per probability in the sweep list; emits the curve CSV."""
-    if cfg.p_sweep is None or cfg.sweep_k is None:
+    if cfg.p_sweep is None:
         raise ConfigError("sweep requires p_sweep and sweep_k")
-    if cfg.band is None:
-        raise ConfigError("sweep requires a band")
-    out_dir = out_dir or cfg.out or cfg.name
-    os.makedirs(out_dir, exist_ok=True)
-
-    g = build_topology(cfg.topology)
-    source = resolve_source(cfg, g)
-    dmap = hop_distances(g, source)
-    component = int((dmap.dist != UNREACHABLE).sum())
-    _check_theta_placement(cfg, g, dmap)
-
+    rs, g, dmap = _setup(cfg, out_dir)
     rows = []
     for j, p in enumerate(cfg.p_sweep):
         acc = M.CoverageAccumulator(dmap, cfg.band)
         spec = Gossip1(p, cfg.sweep_k)
-        batch_seed = child_seed(cfg.base_seed, j)
-        acc.consume(iter_batch(g, source, spec, cfg.runs, batch_seed, workers=workers))
-        rows.append((p, acc.theta(cfg.extinction_threshold)))
-
-    rs = ResultSet(
-        config=cfg,
-        out_dir=out_dir,
-        source_node=source,
-        component_size=component,
-        excluded_nodes=g.n - component,
-        artifacts={},
-        results={"theta_curve": rows},
-    )
-    path = os.path.join(out_dir, "theta_curve.csv")
-    M.theta_rows_to_csv(path, rows)
-    rs.artifacts["theta_curve.csv"] = _sha256(path)
-    _write_manifest(rs)
-    return rs
+        batch = iter_batch(g, rs.source_node, spec, cfg.runs, child_seed(cfg.base_seed, j), workers=workers)
+        rows.append((p, acc.consume(batch).theta(cfg.extinction_threshold)))
+    rs.results["theta_curve"] = rows
+    return _emit(rs, {"theta_curve.csv": lambda path: M.theta_rows_to_csv(path, rows)})
 
 
 def write_topology(cfg: ExperimentConfig, path_or_file) -> None:

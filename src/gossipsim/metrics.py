@@ -1,9 +1,10 @@
 """Aggregation of execution batches into the simulator's standard metrics.
 
-All estimators are pure functions of their trace inputs and accept any
-iterable of traces (lists or generators), accumulating in one pass so that
-large batches never need to be held in memory.  Proportions get Wilson 95%
-confidence intervals; means get sample standard errors.
+Each metric is an accumulator: `add` takes one trace at a time (or
+`consume` any iterable of traces, lists or generators), so large batches
+never need to be held in memory, and `result`/`summary`/`theta`/`mean_ratio`
+reads the estimate.  Proportions get Wilson 95% confidence intervals; means
+get sample standard errors.
 """
 
 from __future__ import annotations
@@ -223,7 +224,10 @@ class CoverageAccumulator(_Consumer):
 
 
 class OverheadAccumulator(_Consumer):
-    def __init__(self, flooding_baseline: int, g: Optional[Graph] = None):
+    """Broadcasts per run relative to flooding (the component size); gossip4
+    zone unicasts are counted apart and never enter the ratio."""
+
+    def __init__(self, flooding_baseline: int, g: Graph):
         if flooding_baseline <= 0:
             raise ValueError("flooding baseline must be positive")
         self.baseline = flooding_baseline
@@ -237,7 +241,7 @@ class OverheadAccumulator(_Consumer):
 
     def add(self, trace: ExecutionTrace) -> None:
         self.broadcasts.append(trace.broadcast_count)
-        if isinstance(trace.protocol, Gossip4) and trace.protocol.zone_radius > 0 and self.g is not None:
+        if isinstance(trace.protocol, Gossip4) and trace.protocol.zone_radius > 0:
             level = _trace_zone_levels(self.g, trace.received, trace.protocol.zone_radius)
             self.unicasts.append(int(level[level > 0].sum()))
         if isinstance(trace.protocol, Gossip3):
@@ -302,11 +306,6 @@ class RouteLengthAccumulator(_Consumer):
         return self.total / self.count
 
 
-def zone_covered(g: Graph, received: np.ndarray, zone_radius: int) -> np.ndarray:
-    """Nodes within `zone_radius` hops of any receiver (receivers included)."""
-    return zone_levels(g, received, zone_radius) >= 0
-
-
 # (received, graph, radius, levels) of the last trace, so the overhead and
 # zone-coverage accumulators share one BFS per trace
 _last_zone: Optional[tuple] = None
@@ -328,65 +327,6 @@ def _trace_zone_levels(g: Graph, received: np.ndarray, zone_radius: int) -> np.n
     level.flags.writeable = False
     _last_zone = (received, g, zone_radius, level) if not received.flags.writeable else None
     return level
-
-
-def receive_fraction_by_distance(traces: Iterable[ExecutionTrace], dmap: DistanceMap) -> DistanceProfile:
-    """Mean fraction of nodes at each hop distance that received the message."""
-    acc = ProfileAccumulator(dmap)
-    acc.consume(traces)
-    return acc.result()
-
-
-def classify_executions(
-    traces: Iterable[ExecutionTrace], dmap: DistanceMap, band: tuple[int, int]
-) -> BimodalSummary:
-    """Per-run coverage of the distance band, binned into a 10-bin histogram."""
-    acc = CoverageAccumulator(dmap, band)
-    acc.consume(traces)
-    return acc.summary()
-
-
-def estimate_theta(
-    traces: Iterable[ExecutionTrace],
-    dmap: DistanceMap,
-    band: tuple[int, int],
-    extinction_threshold: float = 0.5,
-) -> ThetaEstimate:
-    """Survival fraction (coverage >= threshold) and coverage among survivors."""
-    acc = CoverageAccumulator(dmap, band)
-    acc.consume(traces)
-    return acc.theta(extinction_threshold)
-
-
-def message_overhead(
-    traces: Iterable[ExecutionTrace], flooding_baseline: int, g: Optional[Graph] = None
-) -> OverheadReport:
-    """Broadcasts per run relative to flooding (= component size).
-
-    Gossip4 zone unicasts never enter the ratio; they are counted separately
-    when the graph is supplied.
-    """
-    acc = OverheadAccumulator(flooding_baseline, g)
-    acc.consume(traces)
-    return acc.result()
-
-
-def zone_coverage_by_distance(
-    traces: Iterable[ExecutionTrace], g: Graph, dmap: DistanceMap, zone_radius: int
-) -> DistanceProfile:
-    """Like receive_fraction_by_distance, counting zone-covered nodes as reached."""
-    acc = ZoneCoverageAccumulator(g, dmap, zone_radius)
-    acc.consume(traces)
-    return acc.result()
-
-
-def route_length_ratio(trace: ExecutionTrace, dmap: DistanceMap, dest: int) -> float:
-    """Discovered hop count at `dest` over its true shortest distance."""
-    if dest == dmap.source:
-        raise ValueError("destination equals the source")
-    if not trace.received[dest]:
-        raise ValueError(f"destination {dest} did not receive the message")
-    return float(trace.hop[dest]) / float(dmap.dist[dest])
 
 
 def theta_rows_to_csv(path_or_file, rows: Sequence[tuple[float, ThetaEstimate]]) -> None:

@@ -87,21 +87,6 @@ def validate_protocol(spec: ProtocolSpec) -> None:
         raise ValueError("k must be non-negative")
 
 
-def forward_probability(spec: ProtocolSpec, hop: int, boost: bool = False) -> float:
-    """Probability that a node whose first copy arrived at `hop` forwards.
-
-    `boost` marks a copy sent by a low-degree node under Gossip2 (the sender
-    instructs its immediate neighbors to use p2).
-    """
-    if hop < 0:
-        raise ValueError("hop must be non-negative")
-    if hop < spec.k:
-        return 1.0
-    if isinstance(spec, Gossip2):
-        return spec.p2 if boost else spec.p1
-    return spec.p
-
-
 def effective_probability(p: float, f: float) -> float:
     """Gossip probability adjusted for congestion drop probability `f`."""
     _check_prob(p, "p")

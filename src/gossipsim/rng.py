@@ -36,11 +36,6 @@ def child_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * _GAMMA) & _MASK)
 
 
-def unit_uniform(seed: int, index: int) -> float:
-    """One uniform draw in [0, 1) from child stream `index` of `seed`."""
-    return (child_seed(seed, index) >> 11) * _UNIT
-
-
 def child_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized `child_seed` over an array of stream indices."""
     x = np.uint64(seed & _MASK) + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)

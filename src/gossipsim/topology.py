@@ -84,10 +84,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
-    @property
-    def edge_count(self) -> int:
-        return self.indices.size // 2
-
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
@@ -278,12 +274,6 @@ def degree_stats(g: Graph) -> DegreeStats:
         max_degree=int(g.degrees.max()),
         mean_degree=float(g.degrees.mean()),
     )
-
-
-def component_of(g: Graph, source: int) -> np.ndarray:
-    """Sorted node ids of the connected component containing `source`."""
-    dmap = hop_distances(g, source)
-    return np.flatnonzero(dmap.dist != UNREACHABLE)
 
 
 def ball_distances(g: Graph, center: int, radius: int) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,10 @@ def test_p_zero_reaches_only_neighbors(grid20x50):
     assert tr.broadcast_count == 1
     assert tr.received.sum() == 1 + grid20x50.degrees[src]
     assert set(np.flatnonzero(tr.received)) == {src} | set(grid20x50.neighbors(src))
+    # hops 0..k-1 forward with certainty, so p = 0 stops the message one hop past the zone
+    tr = run_execution(line_graph(8), 0, Gossip1(0.0, 3), 5)
+    assert list(np.flatnonzero(tr.forwarded)) == [0, 1, 2]
+    assert list(np.flatnonzero(tr.received)) == [0, 1, 2, 3]
 
 
 def test_k0_source_may_decline():

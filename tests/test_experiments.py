@@ -1,6 +1,8 @@
+import glob
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from gossipsim.experiments import (
     SourcePlacement,
     boundary_mask,
     load_manifest,
+    parse_config,
     parse_config_text,
     report,
     resolve_source,
@@ -66,10 +69,18 @@ def test_parse_roundtrip():
         ("topology: grid 8 12", "topology: grid 8"),
         ("schema_version: 1", "schema_version: 2"),
         ("name: tiny", "unknown_key: 3"),
+        ("metrics: bimodal profile overhead", "metrics: zone_coverage"),  # no zone radius
+        # a sweep runs gossip1(p, sweep_k), computes theta only, and needs a band
+        ("metrics: bimodal profile overhead", "metrics: theta\np_sweep: 0.5 0.6\nsweep_k: 2"),
+        ("protocol: gossip1 0.7 2", "p_sweep: 0.5 0.6\nsweep_k: 2"),
+        ("runs: 40", "runs: 40\nsweep_k: 2"),
+        ("protocol: gossip1 0.7 2\nruns: 40\nbase_seed: 99\nband: 2 8\nmetrics: bimodal profile overhead",
+         "p_sweep: 0.5 0.6\nsweep_k: 2\nruns: 40\nbase_seed: 99"),
     ],
 )
 def test_bad_configs_rejected(mutation):
     old, new = mutation
+    assert old in TINY
     with pytest.raises(ConfigError):
         parse_config_text(TINY.replace(old, new))
 
@@ -108,8 +119,6 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_seed_changes_artifacts(tmp_path):
-    from dataclasses import replace
-
     cfg = parse_config_text(TINY)
     a = run_experiment(cfg, out_dir=str(tmp_path / "a"))
     b = run_experiment(replace(cfg, base_seed=100), out_dir=str(tmp_path / "b"))
@@ -125,13 +134,14 @@ def test_manifest_detects_tampering(tmp_path):
         load_manifest(rs.out_dir)
 
 
-def test_theta_requires_interior_source():
+def test_theta_requires_interior_source(tmp_path):
     cfg = parse_config_text(
         TINY.replace("metrics: bimodal profile overhead", "metrics: theta")
     )
     # source on the left boundary: band max 8 >= boundary distance 0
     with pytest.raises(ConfigError):
-        run_experiment(cfg, out_dir="/tmp/should_not_exist_gossipsim")
+        run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep(tmp_path):
@@ -145,13 +155,14 @@ def test_sweep(tmp_path):
     assert len(text.splitlines()) == 4
 
 
-def test_sweep_requires_sweep_fields():
+def test_sweep_requires_sweep_fields(tmp_path):
     cfg = parse_config_text(TINY)
     with pytest.raises(ConfigError):
-        sweep_probability(cfg, out_dir="/tmp/nope_gossipsim")
+        sweep_probability(cfg, out_dir=str(tmp_path / "out"))
     cfg2 = parse_config_text(SWEEP)
     with pytest.raises(ConfigError):
-        run_experiment(cfg2, out_dir="/tmp/nope_gossipsim")
+        run_experiment(cfg2, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_workers_yield_identical_artifacts(tmp_path):
@@ -223,6 +234,9 @@ metrics: route_discovery route_length
     assert summary["queries"] == 40
     assert 0.0 <= summary["success_rate"] <= 1.0
     assert rs.results["route_length"] >= 1.0
+    with pytest.raises(ConfigError):  # no node 30 hops from the source
+        run_experiment(replace(cfg, route_distance=30), out_dir=str(tmp_path / "none"))
+    assert not (tmp_path / "none").exists()
 
 
 def test_report_flooding_ratio_one(tmp_path):
@@ -316,3 +330,75 @@ def test_cli_sweep_and_report(tmp_path, capsys):
     assert (out / "theta_curve.csv").exists()
     assert cli_main(["report", str(out), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+
+
+# SHA-256 of every file each canned config writes with runs=3 and
+# route_queries=5, recorded before the metric table replaced the if-chains
+# in run_experiment; any change to an artifact's bytes or the manifest
+# shows here.
+CANNED_DIGESTS = {
+    "grid_p65_bimodal/bimodal.csv": "3735f76738aebf1b4b661a0943a38b9b92c7ec539228dbabc2d8c02dc0fe02b0",
+    "grid_p65_bimodal/manifest.json": "6186adca9a412d5fc856aac53481445493fea490b426c8f32f89c04103be6e3c",
+    "grid_p65_bimodal/overhead.csv": "2560ddb22c7e4d8f11bb784dbad18e6c93704e8b52e37c8cdde309147ff14f5b",
+    "grid_p65_bimodal/profile.csv": "73e5855fb9aa05301b70fa025f129d254b098cb108a38a90f1419ed96ce77020",
+    "grid_p72_profile/manifest.json": "caaf0a9f68e62aecb6cef6b3f792cfe52f17c608a215a62c4f7295e8a707ff31",
+    "grid_p72_profile/profile.csv": "261932d6582ff0501a7eba2f629dca9e259141787622ea06fed55be30ef818a1",
+    "mesh3_p65/bimodal.csv": "56b47f547381edac5d65a36e245d9468947866cf3c943f60f98cd9d9a393d78d",
+    "mesh3_p65/manifest.json": "8abc21692d59e5b39acc23711e73f18521fc7388ac9e3604bedcf32d4808c12c",
+    "mesh3_p86/bimodal.csv": "3735f76738aebf1b4b661a0943a38b9b92c7ec539228dbabc2d8c02dc0fe02b0",
+    "mesh3_p86/manifest.json": "30760784da5bff8b2657e13daf98da955d1716206ee1ee647c826e6e9afb9773",
+    "mesh6_p65/bimodal.csv": "3735f76738aebf1b4b661a0943a38b9b92c7ec539228dbabc2d8c02dc0fe02b0",
+    "mesh6_p65/manifest.json": "a10aebf4acfae1c1590c3ddaea299a09314268e9f38f201eb1e389bf8f0e8464",
+    "rnd8_bimodal/bimodal.csv": "b37a131236f26bd1c7c4d88696822be3fe2d42fd2fe0bf0606f88a64956368ce",
+    "rnd8_bimodal/manifest.json": "c26d3b9a225689a1dbdd2db4ca4830b79ac8361118b28286a8c1b5a5ef979d91",
+    "rnd8_bimodal/profile.csv": "13dfd9c79a9735dc4a7c82dcc0568b1e234b2b36545dbcb5d5c4e823fa2ef68a",
+    "rnd8_gossip2/manifest.json": "ac2d9b1e63c6eedc7b859add39ecb79f7ab2a7c4256fa54cbfd8fdb5cc13490a",
+    "rnd8_gossip2/overhead.csv": "d4b60882f0c29a8b07a39ee48700b43724d453206bbcb72b6d235f6c85ec7380",
+    "rnd8_gossip2/profile.csv": "518c8ab537f60757bbfd405cb4675db0a9474839e09ae1a7f1b09deea56d2902",
+    "rnd8_gossip3/manifest.json": "d04ad8f4bfe11e1c433fc6bb97b8b3f1aeadf189b6f5df10289567fd97c9951f",
+    "rnd8_gossip3/overhead.csv": "fe157fcfcd287e9c1f68649b42ee36657b96f801616d7d4fa067b46be74394e3",
+    "rnd8_gossip3/profile.csv": "25512fed92a4d2f69413bab406a43b36c47ee47f7086d464b720beb90f82f31f",
+    "rnd8_p75/manifest.json": "625ccf48bb591301971339e2979540949e3f1cd9d1bd836fc7e1b022f46b1871",
+    "rnd8_p75/overhead.csv": "0d3984d6f7bb7485d0ca7fc97484ff9f63572a234f82d69b6c09f1ff0bbe173a",
+    "rnd8_p75/profile.csv": "266c22fe5840f8131a93a6f7ffdb571875899e9b0da106f285b7aaea58802810",
+    "rnd8_p80/manifest.json": "51637f0021065676bbc6ab20651b918f15dbdde7bf06f240a504f93588dc6797",
+    "rnd8_p80/overhead.csv": "5cb63d91b544620259d9f86aef7a16bd4be6c06b3ab643b51bd8b54f03b2764b",
+    "rnd8_p80/profile.csv": "26e8b29fdb976626e5ccccb3196631500372ef9b9aa6665e1377c33e0ba3ca4c",
+    "rnd8_retry/manifest.json": "2aab0e84104fc594b8c273d557cd0a4ab7ef3835cac33f4cec4064757b03d9b8",
+    "rnd8_retry/route_discovery.csv": "9e052c1e50d629449a3e693083f2de5d6444b8429fe2165a51b1caac1d82e8ef",
+    "rnd8_retry/route_summary.csv": "ff9ba63459fe16ef7b1d998e1718560caa4c923e4ab6a809d5f464560dc1a640",
+    "rnd8_routelen/manifest.json": "f5154474d7ecd011acfbc3c996149425b926e4a0a318f1419ff3a304ce3039ba",
+    "rnd8_routelen/profile.csv": "6d80b515b17a96ae51548daeba39afbe479c536f6d1c7333f71eeec9de23f918",
+    "rnd8_routelen/route_length.csv": "0da1a9bdff5950d5d129ff2f9a9ce56045df539a67846936e5a6a465bff24995",
+    "theta_k0_p65/manifest.json": "ada55a825e5d66fe84f77fe3ec0b35e88419310e11476df33af3a475b96e4fb9",
+    "theta_k0_p65/theta.csv": "8373f4d00674ce4e8db3d72a1148afba9e6dd5214afa897647fe9d13afbca59f",
+    "theta_k0_p70/manifest.json": "601725b5b095b27c809bd53ec41fa9c62d797c9d695cd516a23240acbfb998a7",
+    "theta_k0_p70/theta.csv": "055bf35a2ec8c2fa64ed76f636c0c1fee13c90b8c92cd17ae571094f559c9db8",
+    "theta_k1_p65/manifest.json": "253219aa8d940fc4aca0396a1b9ebb9fb51070578be2412d0c782860911a03f5",
+    "theta_k1_p65/theta.csv": "8373f4d00674ce4e8db3d72a1148afba9e6dd5214afa897647fe9d13afbca59f",
+    "theta_k1_p70/manifest.json": "b0932f6425908997c4e4ee7cb93d5a22327c225de5c8127460488caa1700a5e0",
+    "theta_k1_p70/theta.csv": "055bf35a2ec8c2fa64ed76f636c0c1fee13c90b8c92cd17ae571094f559c9db8",
+    "theta_k2_p65/manifest.json": "cee759229aac0b2051f7a38be6f1c516e5d3b54281122bebebc402900c915ef5",
+    "theta_k2_p65/theta.csv": "1fa5a411b8214d936b0e26f21833835e3762509f42f2da5c9936b761c02bd86b",
+    "theta_k5_p65/manifest.json": "021b0993df26ca9462ea2124645fb2ef0cc3ed37e49aa9cc5b7483ffea49f8f9",
+    "theta_k5_p65/theta.csv": "ad77192320ac00a707e1c828d94e041e9a18f1d8c415e3906afa94659de5468c",
+    "theta_sweep_300/manifest.json": "cae6ea612d6d29fc9a7c34a159898b343269a7c0860e3ba0dac8e70fffcfec72",
+    "theta_sweep_300/theta_curve.csv": "596b721b75cf3b9050b687f6a48514156ac0925f873b7dd0bc243490091b5d6a",
+    "zones100/manifest.json": "156552f61ded541e6de674bf2e1d96ca339d071c91317eca8a14e8917789f18d",
+    "zones100/overhead.csv": "b7c1b6c9d57e33b63c786c0bee6469a1b6556a5845ba53e5e3955af0cfe89ea8",
+    "zones100/profile.csv": "46616b088649512f53f0c3596901c3157a3c989b1ed3e6ced1548117f8b93a4a",
+    "zones100/zone_coverage.csv": "9efa65ae6b817ec61b7c13b9c3904aa04dd445c6216f146f5c4eb3d98f44ca70",
+}
+
+
+def test_canned_artifacts_match_pinned_digests(tmp_path):
+    config_dir = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    got = {}
+    for path in sorted(glob.glob(os.path.join(config_dir, "*.cfg"))):
+        cfg = replace(parse_config(path), runs=3, route_queries=5)
+        out = tmp_path / cfg.name
+        runner = sweep_probability if cfg.p_sweep is not None else run_experiment
+        runner(cfg, out_dir=str(out))
+        for f in sorted(out.iterdir()):
+            got[f"{cfg.name}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+    assert got == CANNED_DIGESTS

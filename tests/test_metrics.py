@@ -16,16 +16,15 @@ from gossipsim import (
     run_execution,
 )
 from gossipsim.metrics import (
-    classify_executions,
-    estimate_theta,
-    message_overhead,
-    receive_fraction_by_distance,
-    route_length_ratio,
+    CoverageAccumulator,
+    OverheadAccumulator,
+    ProfileAccumulator,
+    RouteLengthAccumulator,
+    ZoneCoverageAccumulator,
     theta_rows_to_csv,
     wilson_interval,
-    zone_covered,
-    zone_coverage_by_distance,
 )
+from gossipsim.topology import zone_levels
 
 from conftest import line_graph
 
@@ -39,7 +38,7 @@ def grid_setup():
 
 def test_flooding_profile_is_all_ones(grid_setup):
     g, src, dm = grid_setup
-    prof = receive_fraction_by_distance(run_batch(g, src, FLOODING, 5, 1), dm)
+    prof = ProfileAccumulator(dm).consume(run_batch(g, src, FLOODING, 5, 1)).result()
     assert np.all(prof.fraction == 1.0)
     assert np.all(prof.stderr == 0.0)
     assert prof.fraction[0] == 1.0
@@ -49,7 +48,7 @@ def test_flooding_profile_is_all_ones(grid_setup):
 
 def test_profile_distance_zero_is_source(grid_setup):
     g, src, dm = grid_setup
-    prof = receive_fraction_by_distance(run_batch(g, src, Gossip1(0.3, 1), 30, 9), dm)
+    prof = ProfileAccumulator(dm).consume(run_batch(g, src, Gossip1(0.3, 1), 30, 9)).result()
     assert prof.fraction[0] == 1.0
     assert np.all(prof.fraction <= 1.0) and np.all(prof.fraction >= 0.0)
 
@@ -59,21 +58,21 @@ def test_profile_excludes_unreachable():
 
     g = Graph(5, np.array([[0, 1], [1, 2], [3, 4]]))
     dm = hop_distances(g, 0)
-    prof = receive_fraction_by_distance(run_batch(g, 0, FLOODING, 3, 2), dm)
+    prof = ProfileAccumulator(dm).consume(run_batch(g, 0, FLOODING, 3, 2)).result()
     assert prof.node_count.sum() == 3  # nodes 3, 4 unreachable
 
 
 def test_empty_trace_list_rejected(grid_setup):
     g, src, dm = grid_setup
     with pytest.raises(ValueError):
-        receive_fraction_by_distance([], dm)
+        ProfileAccumulator(dm).consume([])
     with pytest.raises(ValueError):
-        classify_executions([], dm, (2, 5))
+        CoverageAccumulator(dm, (2, 5)).consume([])
 
 
 def test_flooding_bimodal_all_high(grid_setup):
     g, src, dm = grid_setup
-    summary = classify_executions(run_batch(g, src, FLOODING, 20, 3), dm, (2, 10))
+    summary = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, FLOODING, 20, 3)).summary()
     assert summary.frac_above_90pct == 1.0
     assert summary.frac_above_80pct == 1.0
     assert summary.frac_below_10pct == 0.0
@@ -82,7 +81,7 @@ def test_flooding_bimodal_all_high(grid_setup):
 
 def test_bimodal_tail_monotonicity(grid_setup):
     g, src, dm = grid_setup
-    summary = classify_executions(run_batch(g, src, Gossip1(0.55, 2), 60, 8), dm, (2, 12))
+    summary = CoverageAccumulator(dm, (2, 12)).consume(run_batch(g, src, Gossip1(0.55, 2), 60, 8)).summary()
     assert summary.frac_below_10pct <= summary.frac_below_20pct
     assert summary.frac_above_90pct <= summary.frac_above_80pct
     assert summary.bin_fraction.sum() == pytest.approx(1.0)
@@ -92,14 +91,14 @@ def test_bimodal_tail_monotonicity(grid_setup):
 def test_band_without_nodes_rejected(grid_setup):
     g, src, dm = grid_setup
     with pytest.raises(ValueError):
-        classify_executions(run_batch(g, src, FLOODING, 2, 1), dm, (100, 120))
+        CoverageAccumulator(dm, (100, 120))
     with pytest.raises(ValueError):
-        classify_executions(run_batch(g, src, FLOODING, 2, 1), dm, (5, 2))
+        CoverageAccumulator(dm, (5, 2))
 
 
 def test_theta_certain_at_p1(grid_setup):
     g, src, dm = grid_setup
-    est = estimate_theta(run_batch(g, src, Gossip1(1.0, 4), 40, 4), dm, (2, 10))
+    est = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, Gossip1(1.0, 4), 40, 4)).theta()
     assert est.theta_S == 1.0
     assert est.theta_R == 1.0
     assert est.survivors == 40
@@ -108,7 +107,7 @@ def test_theta_certain_at_p1(grid_setup):
 
 def test_theta_zero_at_p0(grid_setup):
     g, src, dm = grid_setup
-    est = estimate_theta(run_batch(g, src, Gossip1(0.0, 1), 20, 4), dm, (2, 10))
+    est = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, Gossip1(0.0, 1), 20, 4)).theta()
     assert est.theta_S == 0.0 and est.theta_R is None
 
 
@@ -116,7 +115,7 @@ def test_theta_threshold_validation(grid_setup):
     g, src, dm = grid_setup
     traces = run_batch(g, src, FLOODING, 2, 1)
     with pytest.raises(ValueError):
-        estimate_theta(traces, dm, (2, 10), extinction_threshold=0.0)
+        CoverageAccumulator(dm, (2, 10)).consume(traces).theta(extinction_threshold=0.0)
 
 
 def test_wilson_interval():
@@ -130,7 +129,7 @@ def test_wilson_interval():
 
 def test_flooding_overhead_ratio_exactly_one(grid_setup):
     g, src, dm = grid_setup
-    report = message_overhead(run_batch(g, src, FLOODING, 4, 6), g.n)
+    report = OverheadAccumulator(g.n, g).consume(run_batch(g, src, FLOODING, 4, 6)).result()
     assert report.ratio == 1.0
     assert report.mean_broadcasts == g.n
     assert report.zone_unicasts == 0.0
@@ -140,12 +139,12 @@ def test_flooding_overhead_ratio_exactly_one(grid_setup):
 def test_overhead_requires_positive_baseline(grid_setup):
     g, src, dm = grid_setup
     with pytest.raises(ValueError):
-        message_overhead(run_batch(g, src, FLOODING, 2, 1), 0)
+        OverheadAccumulator(0, g)
 
 
 def test_overhead_gossip3_latency_fields(grid_setup):
     g, src, dm = grid_setup
-    report = message_overhead(run_batch(g, src, Gossip3(0.5, 2, 1, 2), 30, 11), g.n)
+    report = OverheadAccumulator(g.n, g).consume(run_batch(g, src, Gossip3(0.5, 2, 1, 2), 30, 11)).result()
     assert 0.0 <= report.timeout_fraction <= 1.0
     # every timeout forward carries L >= 1, so it is among the L >= 1 broadcasts
     assert report.frac_L_ge1 >= report.timeout_fraction
@@ -158,8 +157,8 @@ def test_overhead_gossip3_latency_fields(grid_setup):
 def test_zone_radius_zero_equals_plain_profile(grid_setup):
     g, src, dm = grid_setup
     traces = run_batch(g, src, Gossip1(0.5, 2), 25, 12)
-    plain = receive_fraction_by_distance(traces, dm)
-    zoned = zone_coverage_by_distance(traces, g, dm, 0)
+    plain = ProfileAccumulator(dm).consume(traces).result()
+    zoned = ZoneCoverageAccumulator(g, dm, 0).consume(traces).result()
     assert np.array_equal(plain.fraction, zoned.fraction)
 
 
@@ -167,22 +166,20 @@ def test_zone_radius_diameter_covers_everything(grid_setup):
     g, src, dm = grid_setup
     diameter = int(dm.max_distance) + 20
     traces = run_batch(g, src, Gossip1(0.0, 1), 10, 13)  # at least the source received
-    zoned = zone_coverage_by_distance(traces, g, dm, diameter)
+    zoned = ZoneCoverageAccumulator(g, dm, diameter).consume(traces).result()
     assert np.all(zoned.fraction == 1.0)
 
 
 def test_zone_covered_levels():
     g = line_graph(6)
     received = np.array([True, False, False, False, False, False])
-    cov1 = zone_covered(g, received, 1)
+    cov1 = zone_levels(g, received, 1) >= 0
     assert list(cov1) == [True, True, False, False, False, False]
-    cov3 = zone_covered(g, received, 3)
+    cov3 = zone_levels(g, received, 3) >= 0
     assert list(cov3) == [True, True, True, True, False, False]
 
 
 def test_zone_unicast_accounting():
-    from gossipsim.metrics import OverheadAccumulator
-
     g = line_graph(5)
     tr = run_execution(g, 0, Gossip4(0.0, 1, 2), 3)  # receivers: 0, 1
     acc = OverheadAccumulator(5, g)
@@ -195,7 +192,6 @@ def test_zone_unicast_accounting():
 
 def test_zone_levels_shared_once_per_trace():
     from gossipsim.metrics import _trace_zone_levels
-    from gossipsim.topology import zone_levels
 
     g = line_graph(8)
     tr = run_execution(g, 0, Gossip4(0.0, 1, 2), 3)
@@ -213,10 +209,9 @@ def test_zone_levels_shared_once_per_trace():
 
 def test_route_length_ratio_flooding_is_one(grid_setup):
     g, src, dm = grid_setup
-    tr = run_execution(g, src, FLOODING, 17)
-    for dest in (5, 77, 150):
-        if dest != src:
-            assert route_length_ratio(tr, dm, dest) == 1.0
+    acc = RouteLengthAccumulator(dm, 1).consume([run_execution(g, src, FLOODING, 17)])
+    assert acc.count == g.n - 1
+    assert acc.mean_ratio() == 1.0
 
 
 def test_route_length_ratio_line_graph_unique_path():
@@ -224,24 +219,15 @@ def test_route_length_ratio_line_graph_unique_path():
     dm = hop_distances(g, 0)
     tr = run_execution(g, 0, Gossip3(0.3, 1, 1, 2), 23)
     assert tr.received[9]
-    assert route_length_ratio(tr, dm, 9) == 1.0
-
-
-def test_route_length_ratio_errors(grid_setup):
-    g, src, dm = grid_setup
-    tr = run_execution(g, src, Gossip1(0.0, 1), 2)
-    far = grid_index(10, 20, 9, 19)
-    with pytest.raises(ValueError):
-        route_length_ratio(tr, dm, far)  # did not receive
-    with pytest.raises(ValueError):
-        route_length_ratio(tr, dm, src)
+    acc = RouteLengthAccumulator(dm, 9).consume([tr])
+    assert acc.count == 1 and acc.mean_ratio() == 1.0
 
 
 def test_estimators_are_pure(grid_setup):
     g, src, dm = grid_setup
     traces = run_batch(g, src, Gossip1(0.6, 2), 15, 31)
-    a = classify_executions(traces, dm, (2, 10))
-    b = classify_executions(traces, dm, (2, 10))
+    a = CoverageAccumulator(dm, (2, 10)).consume(traces).summary()
+    b = CoverageAccumulator(dm, (2, 10)).consume(traces).summary()
     assert np.array_equal(a.coverages, b.coverages)
     assert a.frac_above_80pct == b.frac_above_80pct
 
@@ -279,7 +265,7 @@ def test_boundary_dropoff_in_individual_runs():
 
 def test_profile_csv_format(grid_setup):
     g, src, dm = grid_setup
-    prof = receive_fraction_by_distance(run_batch(g, src, FLOODING, 2, 1), dm)
+    prof = ProfileAccumulator(dm).consume(run_batch(g, src, FLOODING, 2, 1)).result()
     buf = io.StringIO()
     prof.to_csv(buf)
     lines = buf.getvalue().splitlines()
@@ -289,7 +275,7 @@ def test_profile_csv_format(grid_setup):
 
 def test_bimodal_csv_has_bins_and_tails(grid_setup):
     g, src, dm = grid_setup
-    summary = classify_executions(run_batch(g, src, FLOODING, 3, 1), dm, (2, 10))
+    summary = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, FLOODING, 3, 1)).summary()
     buf = io.StringIO()
     summary.to_csv(buf)
     text = buf.getvalue()
@@ -301,7 +287,7 @@ def test_bimodal_csv_has_bins_and_tails(grid_setup):
 
 def test_theta_csv(grid_setup):
     g, src, dm = grid_setup
-    est = estimate_theta(run_batch(g, src, FLOODING, 4, 2), dm, (2, 10))
+    est = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, FLOODING, 4, 2)).theta()
     buf = io.StringIO()
     theta_rows_to_csv(buf, [(1.0, est)])
     lines = buf.getvalue().splitlines()

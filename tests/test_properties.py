@@ -19,7 +19,7 @@ from gossipsim import (
     run_batch,
     run_execution,
 )
-from gossipsim.metrics import CoverageAccumulator, classify_executions, receive_fraction_by_distance
+from gossipsim.metrics import CoverageAccumulator, ProfileAccumulator
 
 from conftest import random_graph
 
@@ -171,7 +171,7 @@ def test_bimodal_tail_consistency(params, seed):
     if dm.max_distance < 2:
         return
     traces = run_batch(g, 0, Gossip1(0.5, 1), 20, seed)
-    summary = classify_executions(traces, dm, (1, dm.max_distance))
+    summary = CoverageAccumulator(dm, (1, dm.max_distance)).consume(traces).summary()
     assert summary.frac_below_10pct <= summary.frac_below_20pct
     assert summary.frac_above_90pct <= summary.frac_above_80pct
     assert summary.bin_fraction.sum() == pytest.approx(1.0)
@@ -238,7 +238,7 @@ def test_conditional_coverage_independent_of_k():
             acc.add(tr)
             if acc.coverages[-1] > 0.5:
                 kept.append(tr)
-        profiles[k] = receive_fraction_by_distance(kept, dm)
+        profiles[k] = ProfileAccumulator(dm).consume(kept).result()
     a, b = profiles[1], profiles[5]
     upto = 16
     diff = np.abs(a.fraction[5:upto] - b.fraction[5:upto])

@@ -7,35 +7,9 @@ from gossipsim import (
     Gossip3,
     Gossip4,
     effective_probability,
-    forward_probability,
     protocol_name,
     validate_protocol,
 )
-
-
-def test_forward_probability_first_k_hops():
-    spec = Gossip1(0.65, 4)
-    assert forward_probability(spec, 0) == 1.0
-    assert forward_probability(spec, 2) == 1.0
-    assert forward_probability(spec, 3) == 1.0
-    assert forward_probability(spec, 4) == 0.65
-    assert forward_probability(spec, 40) == 0.65
-
-
-def test_forward_probability_k0_source_gossips():
-    assert forward_probability(Gossip1(0.3, 0), 0) == 0.3
-
-
-def test_forward_probability_gossip2_boost():
-    spec = Gossip2(0.6, 4, 1.0, 6)
-    assert forward_probability(spec, 7, boost=True) == 1.0
-    assert forward_probability(spec, 7, boost=False) == 0.6
-    assert forward_probability(spec, 2, boost=False) == 1.0  # inside the k zone
-
-
-def test_forward_probability_rejects_negative_hop():
-    with pytest.raises(ValueError):
-        forward_probability(Gossip1(0.5, 1), -1)
 
 
 def test_flooding_alias():

@@ -12,7 +12,6 @@ from gossipsim import (
     RandomGeometric,
     RegularMesh,
     build_topology,
-    component_of,
     degree_stats,
     grid_index,
     hop_distances,
@@ -39,7 +38,7 @@ def test_grid_20x50_shape():
 
 def test_grid_1x1():
     g = build_topology(Grid(1, 1))
-    assert g.n == 1 and g.edge_count == 0
+    assert g.n == 1 and len(g.edges()) == 0
     stats = degree_stats(g)
     assert stats.min_degree == stats.max_degree == 0 and stats.mean_degree == 0.0
 
@@ -216,18 +215,18 @@ def test_component_of_matches_union_find():
         uf.union(u, v)
     for src in range(0, 30, 7):
         expected = sorted(v for v in range(g.n) if uf.find(v) == uf.find(src))
-        assert list(component_of(g, src)) == expected
+        assert list(np.flatnonzero(hop_distances(g, src).dist != UNREACHABLE)) == expected
 
 
 def test_component_of_connected_grid():
     g = build_topology(Grid(6, 7))
-    assert list(component_of(g, 3)) == list(range(42))
+    assert np.all(hop_distances(g, 3).dist != UNREACHABLE)
 
 
 def test_component_excludes_isolated_node():
     g = Graph(4, np.array([[0, 1], [1, 2]]))
-    assert list(component_of(g, 0)) == [0, 1, 2]
-    assert 3 not in component_of(g, 0)
+    reached = hop_distances(g, 0).dist != UNREACHABLE
+    assert list(reached) == [True, True, True, False]
 
 
 def test_ball_distances():
