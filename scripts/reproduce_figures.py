@@ -13,7 +13,7 @@ from dataclasses import replace
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-from gossipsim.experiments import parse_config, report, run_experiment, sweep_probability
+from gossipsim.experiments import parse_config, report, run_experiment
 
 FIGURE_CONFIGS = [
     "grid_p72_profile",
@@ -46,8 +46,7 @@ def main() -> int:
         if args.quick:
             cfg = replace(cfg, runs=max(20, cfg.runs // 10))
         out_dir = os.path.join(args.out, name)
-        runner = sweep_probability if cfg.p_sweep is not None else run_experiment
-        rs = runner(cfg, out_dir=out_dir, workers=args.workers)
+        rs = run_experiment(cfg, out_dir=out_dir, workers=args.workers)
         print(f"{name}: {len(rs.artifacts)} artifact(s) -> {out_dir}")
         dirs.append(out_dir)
 

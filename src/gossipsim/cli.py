@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    gossipsim run <config>      execute one experiment, write CSV artifacts
+    gossipsim run <config>      execute one experiment (or sweep), write CSV artifacts
     gossipsim sweep <config>    theta curve over the config's p_sweep list
     gossipsim report <dirs...>  consolidated table + gnuplot data files
     gossipsim topo <config>     emit the topology as a plain-text edge list
@@ -65,10 +65,7 @@ def main(argv=None) -> int:
             print(report(args.dirs, out_dir=args.out))
             return 0
         cfg = parse_config(args.config)
-        if args.out:
-            write_topology(cfg, args.out)
-        else:
-            write_topology(cfg, sys.stdout)
+        write_topology(cfg, args.out or sys.stdout)
         return 0
     except (ConfigError, ValueError, FileNotFoundError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

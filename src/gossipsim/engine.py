@@ -24,7 +24,7 @@ import numpy as np
 
 from .protocols import Gossip2, Gossip3, ProtocolSpec, validate_protocol
 from .rng import child_seed, unit_uniforms
-from .textio import open_text
+from .textio import write_rows
 from .topology import Graph, gather_neighbors
 
 _NO_KEY = np.iinfo(np.int64).max
@@ -70,14 +70,12 @@ class ExecutionTrace:
 
     def to_csv(self, path_or_file) -> None:
         """One row per node: node,received,round,hop,parent,forwarded,timeout_forward,L."""
-        with open_text(path_or_file, "w") as f:
-            f.write("node,received,round,hop,parent,forwarded,timeout_forward,L\n")
-            for i in range(self.n):
-                f.write(
-                    f"{i},{int(self.received[i])},{self.receive_round[i]},{self.hop[i]},"
-                    f"{self.parent[i]},{int(self.forwarded[i])},{int(self.timeout_forward[i])},"
-                    f"{self.L_at_receipt[i]}\n"
-                )
+        write_rows(
+            path_or_file,
+            "node,received,round,hop,parent,forwarded,timeout_forward,L",
+            zip(range(self.n), self.received, self.receive_round, self.hop, self.parent,
+                self.forwarded, self.timeout_forward, self.L_at_receipt),
+        )
 
 
 def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> ExecutionTrace:

@@ -36,6 +36,7 @@ from .protocols import (
 )
 from .rng import child_seed
 from .routing import discover_route, query_for, route_results_to_csv
+from .textio import write_rows
 from .topology import (
     UNREACHABLE,
     DistanceMap,
@@ -246,8 +247,9 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.runs < 1:
-        raise ConfigError("runs must be >= 1")
+    for key in ("runs", "route_queries", "route_attempts"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1")
     if cfg.protocol is not None:
         try:
             validate_protocol(cfg.protocol)
@@ -392,14 +394,12 @@ def _emit(rs: ResultSet, writers: dict[str, Callable[[str], None]]) -> ResultSet
         "artifacts": rs.artifacts,
         "hash": combined.hexdigest(),
     }
-    with open(rs.manifest_path, "w", newline="\n") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_rows(rs.manifest_path, json.dumps(manifest, indent=2, sort_keys=True), [])
     return rs
 
 
-def _row_writer(header: str, row: str) -> Callable[[str], None]:
-    return lambda path: M._write_csv(path, header, [row])
+def _row_writer(header: str, *cells) -> Callable[[str], None]:
+    return lambda path: write_rows(path, header, [cells])
 
 
 def _own_csv(result):
@@ -414,18 +414,14 @@ def _finish_theta(acc: M.CoverageAccumulator, cfg: ExperimentConfig):
 
 def _finish_overhead(acc: M.OverheadAccumulator, cfg: ExperimentConfig):
     r = acc.result()
-    le2 = "" if r.timeout_L_le2 is None else repr(r.timeout_L_le2)
-    row = (
-        f"{r.mean_broadcasts!r},{r.ratio!r},{r.zone_unicasts!r},{acc.baseline},"
-        f"{r.timeout_fraction!r},{r.frac_L_ge1!r},{le2}"
-    )
     header = "mean_broadcasts,ratio,zone_unicasts,baseline,timeout_fraction,frac_L_ge1,timeout_L_le2"
-    return r, _row_writer(header, row)
+    cells = (r.mean_broadcasts, r.ratio, r.zone_unicasts, acc.baseline, r.timeout_fraction, r.frac_L_ge1)
+    return r, _row_writer(header, *cells, r.timeout_L_le2)
 
 
 def _finish_route_length(acc: M.RouteLengthAccumulator, cfg: ExperimentConfig):
     ratio = acc.mean_ratio()
-    return ratio, _row_writer("mean_ratio,samples,min_distance", f"{ratio!r},{acc.count},{acc.min_distance}")
+    return ratio, _row_writer("mean_ratio,samples,min_distance", ratio, acc.count, acc.min_distance)
 
 
 def _coverage(rs: ResultSet, g: Graph, dmap: DistanceMap) -> M.CoverageAccumulator:
@@ -454,9 +450,9 @@ KNOWN_METRICS = frozenset(_METRICS) | {"route_discovery"}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None, workers: int = 1) -> ResultSet:
-    """Execute one experiment and write its artifacts."""
+    """Execute one experiment (a p_sweep config runs `sweep_probability`) and write its artifacts."""
     if cfg.p_sweep is not None:
-        raise ConfigError("config declares p_sweep; use sweep_probability")
+        return sweep_probability(cfg, out_dir, workers)
     if cfg.protocol is None:
         raise ConfigError("run requires a protocol")
     rs, g, dmap = _setup(cfg, out_dir)
@@ -499,13 +495,9 @@ def _route_discovery(rs: ResultSet, g: Graph, dmap: DistanceMap):
         "one_attempt_rate": one_shot / cfg.route_queries,
         "mean_broadcasts": broadcasts / cfg.route_queries,
     }
-    row = (
-        f"{summary['queries']},{summary['success_rate']!r},"
-        f"{summary['one_attempt_rate']!r},{summary['mean_broadcasts']!r}"
-    )
     return summary, {
         "route_discovery.csv": lambda path: route_results_to_csv(path, rows),
-        "route_summary.csv": _row_writer("queries,success_rate,one_attempt_rate,mean_broadcasts", row),
+        "route_summary.csv": _row_writer(",".join(summary), *summary.values()),
     }
 
 
@@ -552,23 +544,41 @@ def _read_rows(result_dir: str, name: str) -> list[dict]:
         return list(csv.DictReader(f))
 
 
+def _first_cell(result_dir: str, name: str, column: str) -> str:
+    """`column` of a result CSV's first row to three decimals; blank if the file is absent."""
+    rows = _read_rows(result_dir, name)
+    return f"{float(rows[0][column]):.3f}" if rows else ""
+
+
+_TABLE_ROW = "{:<24} {:<22} {:>7} {:>8} {:>6} {:>6} {:>6} {:>6} {:>7}"
+_GNUPLOT_SCRIPT = (
+    'set xlabel "gossip probability p"\n'
+    'set ylabel "theta_S"\n'
+    'set yrange [0:1.05]\n'
+    'plot for [i=0:*] "report_theta.dat" index i using 1:2 '
+    'with linespoints title sprintf("series %d", i)'
+)
+
+
 def report(result_dirs: list[str], out_dir: str = ".") -> str:
     """Consolidated table across experiment directories, plus gnuplot data files."""
     if not result_dirs:
         raise ValueError("no result directories given")
     os.makedirs(out_dir, exist_ok=True)
-    lines = [f"{'experiment':<24} {'protocol':<22} {'ratio':>7} {'theta_S':>8} {'<10%':>6} {'>80%':>6} {'>90%':>6}"]
+    columns = ("experiment", "protocol", "ratio", "theta_S", "<10%", ">80%", ">90%", "route", "stretch")
+    lines = [_TABLE_ROW.format(*columns)]
     theta_blocks = []
     overhead_rows = []
     for d in result_dirs:
         manifest = load_manifest(d)
         name = manifest["config"]["name"]
         proto = manifest["config"].get("protocol") or "sweep"
-        ratio = theta_s = b10 = a80 = a90 = ""
-        over = _read_rows(d, "overhead.csv")
-        if over:
-            ratio = f"{float(over[0]['ratio']):.3f}"
+        theta_s = ""
+        ratio = _first_cell(d, "overhead.csv", "ratio")
+        if ratio:
             overhead_rows.append((name, float(ratio)))
+        route = _first_cell(d, "route_summary.csv", "success_rate")
+        stretch = _first_cell(d, "route_length.csv", "mean_ratio")
         for theta_name in ("theta.csv", "theta_curve.csv"):
             pts = [(float(r["p"]), float(r["theta_S"])) for r in _read_rows(d, theta_name)]
             if pts:
@@ -576,25 +586,12 @@ def report(result_dirs: list[str], out_dir: str = ".") -> str:
                 theta_blocks.append((name, pts))
         tails = {r["bin_lo"]: f"{float(r['run_fraction']):.3f}" for r in _read_rows(d, "bimodal.csv")}
         b10, a80, a90 = (tails.get(key, "") for key in ("below_10pct", "above_80pct", "above_90pct"))
-        lines.append(f"{name:<24} {proto:<22} {ratio:>7} {theta_s:>8} {b10:>6} {a80:>6} {a90:>6}")
+        lines.append(_TABLE_ROW.format(name, proto, ratio, theta_s, b10, a80, a90, route, stretch))
 
-    with open(os.path.join(out_dir, "report_theta.dat"), "w", newline="\n") as f:
-        f.write("# p theta_S (one block per experiment)\n")
-        for name, pts in theta_blocks:
-            f.write(f'# {name}\n')
-            for p, th in pts:
-                f.write(f"{p!r} {th!r}\n")
-            f.write("\n\n")
-    with open(os.path.join(out_dir, "report_overhead.dat"), "w", newline="\n") as f:
-        f.write("# experiment ratio\n")
-        for name, ratio in overhead_rows:
-            f.write(f"{name} {ratio!r}\n")
-    with open(os.path.join(out_dir, "report.gp"), "w", newline="\n") as f:
-        f.write(
-            'set xlabel "gossip probability p"\n'
-            'set ylabel "theta_S"\n'
-            'set yrange [0:1.05]\n'
-            'plot for [i=0:*] "report_theta.dat" index i using 1:2 '
-            'with linespoints title sprintf("series %d", i)\n'
-        )
+    # one gnuplot block per experiment: a "# name" line, its points, two blank lines
+    theta_rows = [row for name, pts in theta_blocks for row in [("#", name), *pts, (), ()]]
+    theta_header = "# p theta_S (one block per experiment)"
+    write_rows(os.path.join(out_dir, "report_theta.dat"), theta_header, theta_rows, sep=" ")
+    write_rows(os.path.join(out_dir, "report_overhead.dat"), "# experiment ratio", overhead_rows, sep=" ")
+    write_rows(os.path.join(out_dir, "report.gp"), _GNUPLOT_SCRIPT, [])
     return "\n".join(lines)

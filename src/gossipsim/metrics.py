@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import ExecutionTrace
 from .protocols import Gossip3, Gossip4
-from .textio import open_text
+from .textio import write_rows
 from .topology import UNREACHABLE, DistanceMap, Graph, zone_levels
 
 
@@ -46,14 +46,8 @@ class DistanceProfile:
         return float(self.fraction[d])
 
     def to_csv(self, path_or_file) -> None:
-        _write_csv(
-            path_or_file,
-            "distance,count,fraction,stderr",
-            (
-                f"{int(d)},{int(c)},{_fmt(fr)},{_fmt(se)}"
-                for d, c, fr, se in zip(self.distances, self.node_count, self.fraction, self.stderr)
-            ),
-        )
+        rows = zip(self.distances, self.node_count, self.fraction, self.stderr)
+        write_rows(path_or_file, "distance,count,fraction,stderr", rows)
 
 
 @dataclass
@@ -74,17 +68,10 @@ class BimodalSummary:
         return self.coverages.size
 
     def to_csv(self, path_or_file) -> None:
-        rows = [
-            f"{_fmt(lo)},{_fmt(hi)},{_fmt(fr)}"
-            for lo, hi, fr in zip(self.bin_edges[:-1], self.bin_edges[1:], self.bin_fraction)
-        ]
-        rows += [
-            f"below_10pct,,{_fmt(self.frac_below_10pct)}",
-            f"below_20pct,,{_fmt(self.frac_below_20pct)}",
-            f"above_80pct,,{_fmt(self.frac_above_80pct)}",
-            f"above_90pct,,{_fmt(self.frac_above_90pct)}",
-        ]
-        _write_csv(path_or_file, "bin_lo,bin_hi,run_fraction", rows)
+        rows = list(zip(self.bin_edges[:-1], self.bin_edges[1:], self.bin_fraction))
+        tails = ("below_10pct", "below_20pct", "above_80pct", "above_90pct")
+        rows += [(tail, None, getattr(self, f"frac_{tail}")) for tail in tails]
+        write_rows(path_or_file, "bin_lo,bin_hi,run_fraction", rows)
 
 
 @dataclass
@@ -331,23 +318,5 @@ def _trace_zone_levels(g: Graph, received: np.ndarray, zone_radius: int) -> np.n
 
 def theta_rows_to_csv(path_or_file, rows: Sequence[tuple[float, ThetaEstimate]]) -> None:
     """CSV rows `p,theta_S,ci_lo,ci_hi,theta_R` for a probability sweep."""
-    _write_csv(
-        path_or_file,
-        "p,theta_S,ci_lo,ci_hi,theta_R",
-        (
-            f"{_fmt(p)},{_fmt(est.theta_S)},{_fmt(est.ci[0])},{_fmt(est.ci[1])},"
-            f"{_fmt(est.theta_R) if est.theta_R is not None else ''}"
-            for p, est in rows
-        ),
-    )
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path_or_file, header: str, rows: Iterable[str]) -> None:
-    with open_text(path_or_file, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
+    cells = ((float(p), est.theta_S, *est.ci, est.theta_R) for p, est in rows)
+    write_rows(path_or_file, "p,theta_S,ci_lo,ci_hi,theta_R", cells)

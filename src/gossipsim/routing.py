@@ -18,7 +18,7 @@ import numpy as np
 from .engine import ExecutionTrace, run_execution
 from .protocols import Gossip4, ProtocolSpec, validate_protocol
 from .rng import child_seed, unit_uniforms
-from .textio import open_text
+from .textio import write_rows
 from .topology import UNREACHABLE, DistanceMap, Graph, ball_distances, hop_distances
 
 
@@ -199,9 +199,8 @@ def expanding_ring_search(
 
 def route_results_to_csv(path_or_file, rows: Sequence[tuple[int, int, RouteResult]]) -> None:
     """Rows `src,dst,found,attempts,broadcasts,route_len,shortest_len`."""
-    with open_text(path_or_file, "w") as f:
-        f.write("src,dst,found,attempts,broadcasts,route_len,shortest_len\n")
-        for src, dst, r in rows:
-            rl = "" if r.route_length is None else r.route_length
-            sl = "" if r.shortest_length is None else r.shortest_length
-            f.write(f"{src},{dst},{int(r.found)},{r.attempts_used},{r.total_broadcasts},{rl},{sl}\n")
+    cells = (
+        (src, dst, r.found, r.attempts_used, r.total_broadcasts, r.route_length, r.shortest_length)
+        for src, dst, r in rows
+    )
+    write_rows(path_or_file, "src,dst,found,attempts,broadcasts,route_len,shortest_len", cells)

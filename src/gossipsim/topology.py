@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .rng import unit_uniforms
-from .textio import open_text
+from .textio import open_text, write_rows
 
 UNREACHABLE = -1
 
@@ -298,13 +298,10 @@ def zone_levels(g: Graph, received: np.ndarray, radius: int) -> np.ndarray:
 
 def save_edgelist(g: Graph, path_or_file) -> None:
     """Write the plain-text edge-list format (`n`, `u v`, optional `c` lines)."""
-    with open_text(path_or_file, "w") as f:
-        f.write(f"n {g.n}\n")
-        for u, v in g.edges():
-            f.write(f"{u} {v}\n")
-        if g.coords is not None:
-            for i in range(g.n):
-                f.write(f"c {i} {float(g.coords[i, 0])!r} {float(g.coords[i, 1])!r}\n")
+    rows = g.edges().tolist()
+    if g.coords is not None:
+        rows += [("c", i, x, y) for i, (x, y) in enumerate(g.coords.tolist())]
+    write_rows(path_or_file, f"n {g.n}", rows, sep=" ")
 
 
 def load_edgelist(path_or_file) -> Graph:

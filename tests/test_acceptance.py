@@ -24,7 +24,7 @@ from gossipsim import (
     run_batch,
     run_execution,
 )
-from gossipsim.experiments import parse_config, run_experiment, sweep_probability
+from gossipsim.experiments import parse_config, run_experiment
 from gossipsim.metrics import RouteLengthAccumulator
 from gossipsim.rng import child_seed
 
@@ -46,15 +46,11 @@ class _Canned:
 
     def get(self, name):
         if name not in self.cache:
-            cfg = self.config(name)
-            runner = sweep_probability if cfg.p_sweep is not None else run_experiment
-            self.cache[name] = runner(cfg, out_dir=str(self.root / name))
+            self.cache[name] = run_experiment(self.config(name), out_dir=str(self.root / name))
         return self.cache[name]
 
     def rerun(self, name):
-        cfg = self.config(name)
-        runner = sweep_probability if cfg.p_sweep is not None else run_experiment
-        return runner(cfg, out_dir=str(self.root / (name + "_rerun")))
+        return run_experiment(self.config(name), out_dir=str(self.root / (name + "_rerun")))
 
 
 @pytest.fixture(scope="session")

@@ -76,6 +76,10 @@ def test_parse_roundtrip():
         ("runs: 40", "runs: 40\nsweep_k: 2"),
         ("protocol: gossip1 0.7 2\nruns: 40\nbase_seed: 99\nband: 2 8\nmetrics: bimodal profile overhead",
          "p_sweep: 0.5 0.6\nsweep_k: 2\nruns: 40\nbase_seed: 99"),
+        # route discovery needs at least one query and one attempt per query
+        ("runs: 40", "runs: 40\nroute_queries: 0"),
+        ("runs: 40", "runs: 40\nroute_queries: -3"),
+        ("runs: 40", "runs: 40\nroute_attempts: 0"),
     ],
 )
 def test_bad_configs_rejected(mutation):
@@ -159,10 +163,13 @@ def test_sweep_requires_sweep_fields(tmp_path):
     cfg = parse_config_text(TINY)
     with pytest.raises(ConfigError):
         sweep_probability(cfg, out_dir=str(tmp_path / "out"))
-    cfg2 = parse_config_text(SWEEP)
-    with pytest.raises(ConfigError):
-        run_experiment(cfg2, out_dir=str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
+    # run_experiment hands a sweep config to sweep_probability
+    cfg2 = parse_config_text(SWEEP)
+    a = run_experiment(cfg2, out_dir=str(tmp_path / "run"))
+    b = sweep_probability(cfg2, out_dir=str(tmp_path / "sweep"))
+    assert a.artifacts == b.artifacts and set(a.artifacts) == {"theta_curve.csv"}
+    assert (tmp_path / "run" / "manifest.json").read_bytes() == (tmp_path / "sweep" / "manifest.json").read_bytes()
 
 
 def test_workers_yield_identical_artifacts(tmp_path):
@@ -264,6 +271,8 @@ def test_report_reads_columns_by_header(tmp_path):
             "run_fraction,bin_hi,bin_lo\n0.5,0.1,0.0\n"
             "0.125,,below_10pct\n0.25,,above_80pct\n0.375,,above_90pct\n"
         ),
+        "route_summary.csv": "mean_broadcasts,success_rate,one_attempt_rate,queries\n310.5,0.8,0.5,16\n",
+        "route_length.csv": "samples,min_distance,mean_ratio\n40,10,1.07\n",
     }
     artifacts = {}
     for name, text in files.items():
@@ -271,9 +280,21 @@ def test_report_reads_columns_by_header(tmp_path):
         artifacts[name] = hashlib.sha256(text.encode()).hexdigest()
     manifest = {"config": {"name": "shuffled", "protocol": "gossip1(0.6,1)"}, "artifacts": artifacts}
     (d / "manifest.json").write_text(json.dumps(manifest))
-    table = report([str(d)], out_dir=str(tmp_path))
+    # a profile-only run fills none of the table's columns
+    p = tmp_path / "profile_only"
+    p.mkdir()
+    text = "distance,count,fraction,stderr\n0,1,1.0,0.0\n"
+    (p / "profile.csv").write_text(text)
+    artifacts = {"profile.csv": hashlib.sha256(text.encode()).hexdigest()}
+    manifest = {"config": {"name": "profile_only", "protocol": "gossip1(0.6,1)"}, "artifacts": artifacts}
+    (p / "manifest.json").write_text(json.dumps(manifest))
+    table = report([str(d), str(p)], out_dir=str(tmp_path))
+    header = table.splitlines()[0].split()
+    assert header[-2:] == ["route", "stretch"]
     row = [ln for ln in table.splitlines() if ln.startswith("shuffled")][0]
-    assert row.split()[2:] == ["0.400", "0.750", "0.125", "0.250", "0.375"]
+    assert row.split()[2:] == ["0.400", "0.750", "0.125", "0.250", "0.375", "0.800", "1.070"]
+    row = [ln for ln in table.splitlines() if ln.startswith("profile_only")][0]
+    assert row.split() == ["profile_only", "gossip1(0.6,1)"]
     assert (tmp_path / "report_overhead.dat").read_text().splitlines()[1] == "shuffled 0.4"
     assert "0.6 0.25\n0.7 0.75\n" in (tmp_path / "report_theta.dat").read_text()
 
@@ -328,6 +349,8 @@ def test_cli_sweep_and_report(tmp_path, capsys):
     out = tmp_path / "sw"
     assert cli_main(["sweep", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "theta_curve.csv").exists()
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "theta_curve.csv").read_bytes() == (out / "theta_curve.csv").read_bytes()
     assert cli_main(["report", str(out), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
 
@@ -397,8 +420,7 @@ def test_canned_artifacts_match_pinned_digests(tmp_path):
     for path in sorted(glob.glob(os.path.join(config_dir, "*.cfg"))):
         cfg = replace(parse_config(path), runs=3, route_queries=5)
         out = tmp_path / cfg.name
-        runner = sweep_probability if cfg.p_sweep is not None else run_experiment
-        runner(cfg, out_dir=str(out))
+        run_experiment(cfg, out_dir=str(out))
         for f in sorted(out.iterdir()):
             got[f"{cfg.name}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
     assert got == CANNED_DIGESTS
