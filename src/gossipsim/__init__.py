@@ -1,6 +1,6 @@
 """Deterministic simulator for gossip-based route-request propagation."""
 
-from .engine import ExecutionTrace, iter_batch, run_batch, run_execution
+from .engine import ExecutionTrace, iter_batch, run_execution
 from .protocols import (
     FLOODING,
     Gossip1,
@@ -8,7 +8,6 @@ from .protocols import (
     Gossip3,
     Gossip4,
     ProtocolSpec,
-    effective_probability,
     protocol_name,
     validate_protocol,
 )
@@ -45,13 +44,11 @@ __all__ = [
     "UNREACHABLE",
     "build_topology",
     "degree_stats",
-    "effective_probability",
     "grid_index",
     "hop_distances",
     "iter_batch",
     "load_edgelist",
     "protocol_name",
-    "run_batch",
     "run_execution",
     "save_edgelist",
     "validate_protocol",

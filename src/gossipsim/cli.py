@@ -16,14 +16,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .experiments import (
-    ConfigError,
-    parse_config,
-    report,
-    run_experiment,
-    sweep_probability,
-    write_topology,
-)
+from .experiments import parse_config, report, run_experiment, sweep_probability, write_topology
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("run", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--out", help="output directory (default: config's out or name)")
+        p.add_argument("--out", help="output directory (default: the config's name)")
         p.add_argument("--seed", type=int, help="override base_seed")
         p.add_argument("--runs", type=int, help="override run count")
         p.add_argument("--workers", type=int, default=1, help="parallel workers (output is identical)")
@@ -67,7 +60,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         write_topology(cfg, args.out or sys.stdout)
         return 0
-    except (ConfigError, ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

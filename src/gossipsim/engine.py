@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
 import numpy as np
 
@@ -231,14 +231,3 @@ def iter_batch(
     with ctx.Pool(workers, initializer=_pool_init, initargs=(g, source, spec)) as pool:
         yield from pool.imap(_pool_run, seeds, chunksize=chunk)
 
-
-def run_batch(
-    g: Graph,
-    source: int,
-    spec: ProtocolSpec,
-    runs: int,
-    base_seed: int,
-    workers: int = 1,
-) -> List[ExecutionTrace]:
-    """Materialized `iter_batch`."""
-    return list(iter_batch(g, source, spec, runs, base_seed, workers=workers))

@@ -52,28 +52,6 @@ from .topology import (
 )
 
 SCHEMA_VERSION = 1
-_KNOWN_KEYS = frozenset(
-    [
-        "schema_version",
-        "name",
-        "topology",
-        "source",
-        "protocol",
-        "runs",
-        "base_seed",
-        "band",
-        "metrics",
-        "extinction_threshold",
-        "zone_radius",
-        "route_distance",
-        "route_attempts",
-        "route_queries",
-        "route_min_distance",
-        "p_sweep",
-        "sweep_k",
-        "out",
-    ]
-)
 
 _RANDOM_SOURCE_STREAM = 2**48
 _ROUTE_QUERY_STREAM = 2**33
@@ -96,18 +74,16 @@ class ExperimentConfig:
     source: SourcePlacement
     runs: int
     base_seed: int
-    metrics: frozenset[str]
+    metrics: frozenset[str] = frozenset()
     protocol: Optional[ProtocolSpec] = None
     band: Optional[tuple[int, int]] = None
     extinction_threshold: float = 0.5
-    zone_radius: Optional[int] = None
     route_distance: int = 25
     route_attempts: int = 2
     route_queries: int = 1000
     route_min_distance: int = 10
     p_sweep: Optional[tuple[float, ...]] = None
     sweep_k: Optional[int] = None
-    out: Optional[str] = None
 
 
 @dataclass
@@ -126,7 +102,7 @@ class ResultSet:
 
 
 def _parse_topology(text: str) -> TopologySpec:
-    parts = text.split()
+    parts = text.split() or [""]  # an empty value matches no kind
     try:
         if parts[0] == "grid" and len(parts) == 3:
             return Grid(int(parts[1]), int(parts[2]))
@@ -142,7 +118,7 @@ def _parse_topology(text: str) -> TopologySpec:
 
 
 def _parse_protocol(text: str) -> ProtocolSpec:
-    parts = text.split()
+    parts = text.split() or [""]
     try:
         if parts[0] == "flooding" and len(parts) == 1:
             return FLOODING
@@ -150,9 +126,8 @@ def _parse_protocol(text: str) -> ProtocolSpec:
             return Gossip1(float(parts[1]), int(parts[2]))
         if parts[0] == "gossip2" and len(parts) == 5:
             return Gossip2(float(parts[1]), int(parts[2]), float(parts[3]), int(parts[4]))
-        if parts[0] == "gossip3" and len(parts) in (4, 5):
-            timeout = int(parts[4]) if len(parts) == 5 else 2
-            return Gossip3(float(parts[1]), int(parts[2]), int(parts[3]), timeout)
+        if parts[0] == "gossip3" and len(parts) in (4, 5):  # the timeout is optional
+            return Gossip3(float(parts[1]), int(parts[2]), *(int(v) for v in parts[3:]))
         if parts[0] == "gossip4" and len(parts) == 4:
             return Gossip4(float(parts[1]), int(parts[2]), int(parts[3]))
     except ValueError as exc:
@@ -161,12 +136,63 @@ def _parse_protocol(text: str) -> ProtocolSpec:
 
 
 def _parse_source(text: str) -> SourcePlacement:
-    parts = text.split()
+    parts = text.split() or [""]
     if parts[0] in ("left_row", "center_row", "node") and len(parts) == 2:
         return SourcePlacement(parts[0], int(parts[1]))
     if parts[0] == "random" and len(parts) == 1:
         return SourcePlacement("random")
     raise ConfigError(f"bad source value: {text!r}")
+
+
+def _parse_band(text: str) -> tuple[int, int]:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ConfigError(f"bad band value: {text!r}")
+    lo, hi = int(parts[0]), int(parts[1])
+    if lo < 0 or lo > hi:
+        raise ConfigError(f"bad band value: {text!r}")
+    return lo, hi
+
+
+def _parse_sweep(text: str) -> tuple[float, ...]:
+    values = tuple(float(v) for v in text.split())
+    if not values:
+        raise ConfigError("p_sweep must be non-empty")
+    if any(not 0.0 <= v <= 1.0 for v in values):
+        raise ConfigError("p_sweep probabilities must be in [0, 1]")
+    if list(values) != sorted(values):
+        raise ConfigError("p_sweep must be ascending")
+    return values
+
+
+def _parse_metrics(text: str) -> frozenset[str]:
+    metric_set = frozenset(text.split())
+    unknown = metric_set - KNOWN_METRICS
+    if unknown:
+        raise ConfigError(f"unknown metrics: {sorted(unknown)}")
+    return metric_set
+
+
+# config key -> parser of its value; every key but schema_version is the
+# ExperimentConfig field of that name, and a key left out takes its default
+_KEYS: dict[str, Callable[[str], object]] = {
+    "schema_version": int,
+    "name": str,
+    "topology": _parse_topology,
+    "source": _parse_source,
+    "protocol": _parse_protocol,
+    "runs": int,
+    "base_seed": int,
+    "band": _parse_band,
+    "metrics": _parse_metrics,
+    "extinction_threshold": float,
+    "route_distance": int,
+    "route_attempts": int,
+    "route_queries": int,
+    "route_min_distance": int,
+    "p_sweep": _parse_sweep,
+    "sweep_k": int,
+}
 
 
 def parse_config_text(text: str, default_name: str = "experiment") -> ExperimentConfig:
@@ -179,7 +205,7 @@ def parse_config_text(text: str, default_name: str = "experiment") -> Experiment
             raise ConfigError(f"line {lineno}: expected 'key: value', got {line!r}")
         key, value = stripped.split(":", 1)
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -188,53 +214,11 @@ def parse_config_text(text: str, default_name: str = "experiment") -> Experiment
     for req in ("schema_version", "topology", "source", "runs", "base_seed"):
         if req not in raw:
             raise ConfigError(f"missing required key {req!r}")
-    if int(raw["schema_version"]) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {raw['schema_version']}")
-
-    metric_set = frozenset(raw.get("metrics", "").split())
-    unknown = metric_set - KNOWN_METRICS
-    if unknown:
-        raise ConfigError(f"unknown metrics: {sorted(unknown)}")
-
-    band = None
-    if "band" in raw:
-        parts = raw["band"].split()
-        if len(parts) != 2:
-            raise ConfigError(f"bad band value: {raw['band']!r}")
-        band = (int(parts[0]), int(parts[1]))
-        if band[0] < 0 or band[0] > band[1]:
-            raise ConfigError(f"bad band value: {raw['band']!r}")
-
-    p_sweep = None
-    if "p_sweep" in raw:
-        values = tuple(float(v) for v in raw["p_sweep"].split())
-        if not values:
-            raise ConfigError("p_sweep must be non-empty")
-        if any(not 0.0 <= v <= 1.0 for v in values):
-            raise ConfigError("p_sweep probabilities must be in [0, 1]")
-        if list(values) != sorted(values):
-            raise ConfigError("p_sweep must be ascending")
-        p_sweep = values
-
-    cfg = ExperimentConfig(
-        name=raw.get("name", default_name),
-        topology=_parse_topology(raw["topology"]),
-        source=_parse_source(raw["source"]),
-        protocol=_parse_protocol(raw["protocol"]) if "protocol" in raw else None,
-        runs=int(raw["runs"]),
-        base_seed=int(raw["base_seed"]),
-        band=band,
-        metrics=metric_set,
-        extinction_threshold=float(raw.get("extinction_threshold", 0.5)),
-        zone_radius=int(raw["zone_radius"]) if "zone_radius" in raw else None,
-        route_distance=int(raw.get("route_distance", 25)),
-        route_attempts=int(raw.get("route_attempts", 2)),
-        route_queries=int(raw.get("route_queries", 1000)),
-        route_min_distance=int(raw.get("route_min_distance", 10)),
-        p_sweep=p_sweep,
-        sweep_k=int(raw["sweep_k"]) if "sweep_k" in raw else None,
-        out=raw.get("out"),
-    )
+    version = raw.pop("schema_version")
+    if int(version) != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version}")
+    fields = {key: _KEYS[key](value) for key, value in raw.items()}
+    cfg = ExperimentConfig(**{"name": default_name, **fields})
     _validate_config(cfg)
     return cfg
 
@@ -247,7 +231,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    for key in ("runs", "route_queries", "route_attempts"):
+    for key in ("runs", "route_distance", "route_queries", "route_attempts"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
     if cfg.protocol is not None:
@@ -260,8 +244,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     needs_band = cfg.metrics & {"bimodal", "theta"}
     if needs_band and cfg.band is None:
         raise ConfigError(f"metrics {sorted(needs_band)} require a band")
-    if "zone_coverage" in cfg.metrics and _zone_radius(cfg) is None:
-        raise ConfigError("zone_coverage metric requires zone_radius (or a gossip4 protocol)")
+    if "zone_coverage" in cfg.metrics and not isinstance(cfg.protocol, Gossip4):
+        raise ConfigError("zone_coverage metric requires a gossip4 protocol")
     if (cfg.p_sweep is None) != (cfg.sweep_k is None):
         raise ConfigError("p_sweep and sweep_k go together")
     if cfg.p_sweep is not None:
@@ -273,13 +257,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("p_sweep requires a band")
     elif cfg.metrics and cfg.protocol is None:
         raise ConfigError("metrics require a protocol (or a p_sweep)")
-
-
-def _zone_radius(cfg: ExperimentConfig) -> Optional[int]:
-    """The configured zone radius, else the gossip4 protocol's."""
-    if cfg.zone_radius is not None:
-        return cfg.zone_radius
-    return getattr(cfg.protocol, "zone_radius", None)
 
 
 def resolve_source(cfg: ExperimentConfig, g: Graph) -> int:
@@ -364,7 +341,7 @@ def _setup(cfg: ExperimentConfig, out_dir: Optional[str]) -> tuple[ResultSet, Gr
         _check_theta_placement(cfg, g, dmap)
     rs = ResultSet(
         config=cfg,
-        out_dir=out_dir or cfg.out or cfg.name,
+        out_dir=out_dir or cfg.name,
         source_node=source,
         component_size=component,
         excluded_nodes=g.n - component,
@@ -437,7 +414,7 @@ _METRICS = {
     "theta": (_coverage, _finish_theta),
     "overhead": (lambda rs, g, dmap: M.OverheadAccumulator(rs.component_size, g), _finish_overhead),
     "zone_coverage": (
-        lambda rs, g, dmap: M.ZoneCoverageAccumulator(g, dmap, _zone_radius(rs.config)),
+        lambda rs, g, dmap: M.ZoneCoverageAccumulator(g, dmap, rs.config.protocol.zone_radius),
         lambda acc, cfg: _own_csv(acc.result()),
     ),
     "route_length": (
@@ -544,10 +521,10 @@ def _read_rows(result_dir: str, name: str) -> list[dict]:
         return list(csv.DictReader(f))
 
 
-def _first_cell(result_dir: str, name: str, column: str) -> str:
-    """`column` of a result CSV's first row to three decimals; blank if the file is absent."""
+def _first_cell(result_dir: str, name: str, column: str) -> Optional[float]:
+    """`column` of a result CSV's first row; None if the file is absent."""
     rows = _read_rows(result_dir, name)
-    return f"{float(rows[0][column]):.3f}" if rows else ""
+    return float(rows[0][column]) if rows else None
 
 
 _TABLE_ROW = "{:<24} {:<22} {:>7} {:>8} {:>6} {:>6} {:>6} {:>6} {:>7}"
@@ -573,20 +550,20 @@ def report(result_dirs: list[str], out_dir: str = ".") -> str:
         manifest = load_manifest(d)
         name = manifest["config"]["name"]
         proto = manifest["config"].get("protocol") or "sweep"
-        theta_s = ""
+        theta_s = None
         ratio = _first_cell(d, "overhead.csv", "ratio")
-        if ratio:
-            overhead_rows.append((name, float(ratio)))
+        if ratio is not None:
+            overhead_rows.append((name, ratio))
         route = _first_cell(d, "route_summary.csv", "success_rate")
         stretch = _first_cell(d, "route_length.csv", "mean_ratio")
         for theta_name in ("theta.csv", "theta_curve.csv"):
             pts = [(float(r["p"]), float(r["theta_S"])) for r in _read_rows(d, theta_name)]
             if pts:
-                theta_s = f"{pts[-1][1]:.3f}"
+                theta_s = pts[-1][1]
                 theta_blocks.append((name, pts))
-        tails = {r["bin_lo"]: f"{float(r['run_fraction']):.3f}" for r in _read_rows(d, "bimodal.csv")}
-        b10, a80, a90 = (tails.get(key, "") for key in ("below_10pct", "above_80pct", "above_90pct"))
-        lines.append(_TABLE_ROW.format(name, proto, ratio, theta_s, b10, a80, a90, route, stretch))
+        tails = {r["bin_lo"]: float(r["run_fraction"]) for r in _read_rows(d, "bimodal.csv")}
+        cells = (ratio, theta_s, *map(tails.get, ("below_10pct", "above_80pct", "above_90pct")), route, stretch)
+        lines.append(_TABLE_ROW.format(name, proto, *("" if x is None else f"{x:.3f}" for x in cells)))
 
     # one gnuplot block per experiment: a "# name" line, its points, two blank lines
     theta_rows = [row for name, pts in theta_blocks for row in [("#", name), *pts, (), ()]]

@@ -273,7 +273,7 @@ class ZoneCoverageAccumulator(_Consumer):
 class RouteLengthAccumulator(_Consumer):
     """Mean hop/shortest ratio over reached nodes at distance >= min_distance."""
 
-    def __init__(self, dmap: DistanceMap, min_distance: int = 10):
+    def __init__(self, dmap: DistanceMap, min_distance: int):
         self.dmap = dmap
         self.min_distance = min_distance
         self.eligible = (dmap.dist >= max(min_distance, 1)) & (dmap.dist != UNREACHABLE)

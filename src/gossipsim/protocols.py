@@ -87,14 +87,6 @@ def validate_protocol(spec: ProtocolSpec) -> None:
         raise ValueError("k must be non-negative")
 
 
-def effective_probability(p: float, f: float) -> float:
-    """Gossip probability adjusted for congestion drop probability `f`."""
-    _check_prob(p, "p")
-    if not 0.0 <= f < 1.0:
-        raise ValueError(f"congestion drop probability must be in [0, 1), got {f}")
-    return min(p / (1.0 - f), 1.0)
-
-
 def protocol_name(spec: ProtocolSpec) -> str:
     """Short human-readable tag, e.g. 'gossip1(0.65,4)'."""
     if isinstance(spec, Gossip1):

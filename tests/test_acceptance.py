@@ -21,7 +21,6 @@ from gossipsim import (
     build_topology,
     degree_stats,
     hop_distances,
-    run_batch,
     run_execution,
 )
 from gossipsim.experiments import parse_config, run_experiment

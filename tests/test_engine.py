@@ -17,7 +17,6 @@ from gossipsim import (
     grid_index,
     hop_distances,
     iter_batch,
-    run_batch,
     run_execution,
 )
 from gossipsim.rng import child_seed
@@ -88,27 +87,27 @@ def test_at_most_once_and_receive_causality():
 
 
 def test_batch_determinism(grid20x50):
-    a = run_batch(grid20x50, 0, Gossip1(0.65, 4), 5, 424242)
-    b = run_batch(grid20x50, 0, Gossip1(0.65, 4), 5, 424242)
+    a = list(iter_batch(grid20x50, 0, Gossip1(0.65, 4), 5, 424242))
+    b = list(iter_batch(grid20x50, 0, Gossip1(0.65, 4), 5, 424242))
     for x, y in zip(a, b):
         assert x.same_outcome(y) and x.seed == y.seed
 
 
 def test_batch_uses_child_seeds(grid20x50):
-    (only,) = run_batch(grid20x50, 0, Gossip1(0.65, 4), 1, 77)
+    (only,) = list(iter_batch(grid20x50, 0, Gossip1(0.65, 4), 1, 77))
     direct = run_execution(grid20x50, 0, Gossip1(0.65, 4), child_seed(77, 0))
     assert only.same_outcome(direct)
 
 
 def test_flooding_batch_identical_coverage(grid20x50):
-    traces = run_batch(grid20x50, 0, FLOODING, 10, 5)
+    traces = list(iter_batch(grid20x50, 0, FLOODING, 10, 5))
     for tr in traces:
         assert tr.received.all() and tr.broadcast_count == grid20x50.n
 
 
 def test_workers_do_not_change_results(grid20x50):
-    seq = run_batch(grid20x50, 0, Gossip1(0.7, 4), 8, 2024, workers=1)
-    par = run_batch(grid20x50, 0, Gossip1(0.7, 4), 8, 2024, workers=2)
+    seq = list(iter_batch(grid20x50, 0, Gossip1(0.7, 4), 8, 2024, workers=1))
+    par = list(iter_batch(grid20x50, 0, Gossip1(0.7, 4), 8, 2024, workers=2))
     for a, b in zip(seq, par):
         assert a.same_outcome(b)
 
@@ -212,7 +211,7 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         run_execution(g, 0, Gossip1(1.5, 1), 1)
     with pytest.raises(ValueError):
-        run_batch(g, 0, FLOODING, 0, 1)
+        list(iter_batch(g, 0, FLOODING, 0, 1))
 
 
 def test_gossip4_propagates_like_gossip1():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import Grid, RandomGeometric, build_topology, load_edgelist
+from gossipsim import Gossip1, Gossip3, Grid, RandomGeometric, build_topology, load_edgelist
 from gossipsim.cli import main as cli_main
 from gossipsim.experiments import (
     ConfigError,
@@ -50,12 +50,22 @@ metrics: theta
 
 
 def test_parse_roundtrip():
-    cfg = parse_config_text(TINY)
-    assert cfg.name == "tiny"
-    assert cfg.topology == Grid(8, 12)
-    assert cfg.source == SourcePlacement("left_row", 4)
-    assert cfg.band == (2, 8)
-    assert cfg.metrics == {"bimodal", "profile", "overhead"}
+    # every key left out must take the ExperimentConfig default
+    required = "schema_version: 1\ntopology: grid 8 12\nsource: left_row 4\nruns: 40\nbase_seed: 99\n"
+    bare = ExperimentConfig(
+        name="experiment", topology=Grid(8, 12), source=SourcePlacement("left_row", 4), runs=40, base_seed=99
+    )
+    assert parse_config_text(required) == bare
+    assert parse_config_text(TINY) == replace(
+        bare,
+        name="tiny",
+        protocol=Gossip1(0.7, 2),
+        band=(2, 8),
+        metrics=frozenset({"bimodal", "profile", "overhead"}),
+    )
+    # gossip3's timeout is optional and defaults to the dataclass's
+    cfg = parse_config_text(TINY.replace("gossip1 0.7 2", "gossip3 0.6 1 1"))
+    assert cfg.protocol == Gossip3(0.6, 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -80,6 +90,16 @@ def test_parse_roundtrip():
         ("runs: 40", "runs: 40\nroute_queries: 0"),
         ("runs: 40", "runs: 40\nroute_queries: -3"),
         ("runs: 40", "runs: 40\nroute_attempts: 0"),
+        # keys no longer in the schema
+        ("runs: 40", "runs: 40\nzone_radius: 3"),
+        ("runs: 40", "runs: 40\nout: x"),
+        # a route destination is at least one hop away
+        ("runs: 40", "runs: 40\nroute_distance: 0"),
+        ("runs: 40", "runs: 40\nroute_distance: -1"),
+        # empty values
+        ("topology: grid 8 12", "topology:"),
+        ("source: left_row 4", "source:"),
+        ("protocol: gossip1 0.7 2", "protocol:"),
     ],
 )
 def test_bad_configs_rejected(mutation):
@@ -341,6 +361,18 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert rc != 0
     err = json.loads(captured.err.strip())
     assert "error" in err
+
+
+def test_cli_empty_value_is_one_json_line(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY.replace("topology: grid 8 12", "topology:"))
+    rc = cli_main(["run", str(bad), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_and_report(tmp_path, capsys):

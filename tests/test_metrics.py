@@ -12,7 +12,7 @@ from gossipsim import (
     build_topology,
     grid_index,
     hop_distances,
-    run_batch,
+    iter_batch,
     run_execution,
 )
 from gossipsim.metrics import (
@@ -38,7 +38,7 @@ def grid_setup():
 
 def test_flooding_profile_is_all_ones(grid_setup):
     g, src, dm = grid_setup
-    prof = ProfileAccumulator(dm).consume(run_batch(g, src, FLOODING, 5, 1)).result()
+    prof = ProfileAccumulator(dm).consume(iter_batch(g, src, FLOODING, 5, 1)).result()
     assert np.all(prof.fraction == 1.0)
     assert np.all(prof.stderr == 0.0)
     assert prof.fraction[0] == 1.0
@@ -48,7 +48,7 @@ def test_flooding_profile_is_all_ones(grid_setup):
 
 def test_profile_distance_zero_is_source(grid_setup):
     g, src, dm = grid_setup
-    prof = ProfileAccumulator(dm).consume(run_batch(g, src, Gossip1(0.3, 1), 30, 9)).result()
+    prof = ProfileAccumulator(dm).consume(iter_batch(g, src, Gossip1(0.3, 1), 30, 9)).result()
     assert prof.fraction[0] == 1.0
     assert np.all(prof.fraction <= 1.0) and np.all(prof.fraction >= 0.0)
 
@@ -58,7 +58,7 @@ def test_profile_excludes_unreachable():
 
     g = Graph(5, np.array([[0, 1], [1, 2], [3, 4]]))
     dm = hop_distances(g, 0)
-    prof = ProfileAccumulator(dm).consume(run_batch(g, 0, FLOODING, 3, 2)).result()
+    prof = ProfileAccumulator(dm).consume(iter_batch(g, 0, FLOODING, 3, 2)).result()
     assert prof.node_count.sum() == 3  # nodes 3, 4 unreachable
 
 
@@ -72,7 +72,7 @@ def test_empty_trace_list_rejected(grid_setup):
 
 def test_flooding_bimodal_all_high(grid_setup):
     g, src, dm = grid_setup
-    summary = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, FLOODING, 20, 3)).summary()
+    summary = CoverageAccumulator(dm, (2, 10)).consume(iter_batch(g, src, FLOODING, 20, 3)).summary()
     assert summary.frac_above_90pct == 1.0
     assert summary.frac_above_80pct == 1.0
     assert summary.frac_below_10pct == 0.0
@@ -81,7 +81,7 @@ def test_flooding_bimodal_all_high(grid_setup):
 
 def test_bimodal_tail_monotonicity(grid_setup):
     g, src, dm = grid_setup
-    summary = CoverageAccumulator(dm, (2, 12)).consume(run_batch(g, src, Gossip1(0.55, 2), 60, 8)).summary()
+    summary = CoverageAccumulator(dm, (2, 12)).consume(iter_batch(g, src, Gossip1(0.55, 2), 60, 8)).summary()
     assert summary.frac_below_10pct <= summary.frac_below_20pct
     assert summary.frac_above_90pct <= summary.frac_above_80pct
     assert summary.bin_fraction.sum() == pytest.approx(1.0)
@@ -98,7 +98,7 @@ def test_band_without_nodes_rejected(grid_setup):
 
 def test_theta_certain_at_p1(grid_setup):
     g, src, dm = grid_setup
-    est = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, Gossip1(1.0, 4), 40, 4)).theta()
+    est = CoverageAccumulator(dm, (2, 10)).consume(iter_batch(g, src, Gossip1(1.0, 4), 40, 4)).theta()
     assert est.theta_S == 1.0
     assert est.theta_R == 1.0
     assert est.survivors == 40
@@ -107,13 +107,13 @@ def test_theta_certain_at_p1(grid_setup):
 
 def test_theta_zero_at_p0(grid_setup):
     g, src, dm = grid_setup
-    est = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, Gossip1(0.0, 1), 20, 4)).theta()
+    est = CoverageAccumulator(dm, (2, 10)).consume(iter_batch(g, src, Gossip1(0.0, 1), 20, 4)).theta()
     assert est.theta_S == 0.0 and est.theta_R is None
 
 
 def test_theta_threshold_validation(grid_setup):
     g, src, dm = grid_setup
-    traces = run_batch(g, src, FLOODING, 2, 1)
+    traces = list(iter_batch(g, src, FLOODING, 2, 1))
     with pytest.raises(ValueError):
         CoverageAccumulator(dm, (2, 10)).consume(traces).theta(extinction_threshold=0.0)
 
@@ -129,7 +129,7 @@ def test_wilson_interval():
 
 def test_flooding_overhead_ratio_exactly_one(grid_setup):
     g, src, dm = grid_setup
-    report = OverheadAccumulator(g.n, g).consume(run_batch(g, src, FLOODING, 4, 6)).result()
+    report = OverheadAccumulator(g.n, g).consume(iter_batch(g, src, FLOODING, 4, 6)).result()
     assert report.ratio == 1.0
     assert report.mean_broadcasts == g.n
     assert report.zone_unicasts == 0.0
@@ -144,7 +144,7 @@ def test_overhead_requires_positive_baseline(grid_setup):
 
 def test_overhead_gossip3_latency_fields(grid_setup):
     g, src, dm = grid_setup
-    report = OverheadAccumulator(g.n, g).consume(run_batch(g, src, Gossip3(0.5, 2, 1, 2), 30, 11)).result()
+    report = OverheadAccumulator(g.n, g).consume(iter_batch(g, src, Gossip3(0.5, 2, 1, 2), 30, 11)).result()
     assert 0.0 <= report.timeout_fraction <= 1.0
     # every timeout forward carries L >= 1, so it is among the L >= 1 broadcasts
     assert report.frac_L_ge1 >= report.timeout_fraction
@@ -156,7 +156,7 @@ def test_overhead_gossip3_latency_fields(grid_setup):
 
 def test_zone_radius_zero_equals_plain_profile(grid_setup):
     g, src, dm = grid_setup
-    traces = run_batch(g, src, Gossip1(0.5, 2), 25, 12)
+    traces = list(iter_batch(g, src, Gossip1(0.5, 2), 25, 12))
     plain = ProfileAccumulator(dm).consume(traces).result()
     zoned = ZoneCoverageAccumulator(g, dm, 0).consume(traces).result()
     assert np.array_equal(plain.fraction, zoned.fraction)
@@ -165,7 +165,7 @@ def test_zone_radius_zero_equals_plain_profile(grid_setup):
 def test_zone_radius_diameter_covers_everything(grid_setup):
     g, src, dm = grid_setup
     diameter = int(dm.max_distance) + 20
-    traces = run_batch(g, src, Gossip1(0.0, 1), 10, 13)  # at least the source received
+    traces = list(iter_batch(g, src, Gossip1(0.0, 1), 10, 13))  # at least the source received
     zoned = ZoneCoverageAccumulator(g, dm, diameter).consume(traces).result()
     assert np.all(zoned.fraction == 1.0)
 
@@ -225,7 +225,7 @@ def test_route_length_ratio_line_graph_unique_path():
 
 def test_estimators_are_pure(grid_setup):
     g, src, dm = grid_setup
-    traces = run_batch(g, src, Gossip1(0.6, 2), 15, 31)
+    traces = list(iter_batch(g, src, Gossip1(0.6, 2), 15, 31))
     a = CoverageAccumulator(dm, (2, 10)).consume(traces).summary()
     b = CoverageAccumulator(dm, (2, 10)).consume(traces).summary()
     assert np.array_equal(a.coverages, b.coverages)
@@ -251,7 +251,7 @@ def test_boundary_dropoff_in_individual_runs():
     band = (dm.dist >= 15) & (dm.dist <= 35)
     ring_diffs = []
     edge_diffs = []
-    for tr in run_batch(g, src, Gossip1(0.72, 4), 120, 7):
+    for tr in iter_batch(g, src, Gossip1(0.72, 4), 120, 7):
         if tr.received[band].mean() < 0.5:
             continue  # extinct
         ring_diffs.append(tr.received[mid_ring].mean() - tr.received[far_ring].mean())
@@ -265,7 +265,7 @@ def test_boundary_dropoff_in_individual_runs():
 
 def test_profile_csv_format(grid_setup):
     g, src, dm = grid_setup
-    prof = ProfileAccumulator(dm).consume(run_batch(g, src, FLOODING, 2, 1)).result()
+    prof = ProfileAccumulator(dm).consume(iter_batch(g, src, FLOODING, 2, 1)).result()
     buf = io.StringIO()
     prof.to_csv(buf)
     lines = buf.getvalue().splitlines()
@@ -275,7 +275,7 @@ def test_profile_csv_format(grid_setup):
 
 def test_bimodal_csv_has_bins_and_tails(grid_setup):
     g, src, dm = grid_setup
-    summary = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, FLOODING, 3, 1)).summary()
+    summary = CoverageAccumulator(dm, (2, 10)).consume(iter_batch(g, src, FLOODING, 3, 1)).summary()
     buf = io.StringIO()
     summary.to_csv(buf)
     text = buf.getvalue()
@@ -287,7 +287,7 @@ def test_bimodal_csv_has_bins_and_tails(grid_setup):
 
 def test_theta_csv(grid_setup):
     g, src, dm = grid_setup
-    est = CoverageAccumulator(dm, (2, 10)).consume(run_batch(g, src, FLOODING, 4, 2)).theta()
+    est = CoverageAccumulator(dm, (2, 10)).consume(iter_batch(g, src, FLOODING, 4, 2)).theta()
     buf = io.StringIO()
     theta_rows_to_csv(buf, [(1.0, est)])
     lines = buf.getvalue().splitlines()

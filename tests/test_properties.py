@@ -16,7 +16,7 @@ from gossipsim import (
     build_topology,
     grid_index,
     hop_distances,
-    run_batch,
+    iter_batch,
     run_execution,
 )
 from gossipsim.metrics import CoverageAccumulator, ProfileAccumulator
@@ -170,7 +170,7 @@ def test_bimodal_tail_consistency(params, seed):
     dm = hop_distances(g, 0)
     if dm.max_distance < 2:
         return
-    traces = run_batch(g, 0, Gossip1(0.5, 1), 20, seed)
+    traces = list(iter_batch(g, 0, Gossip1(0.5, 1), 20, seed))
     summary = CoverageAccumulator(dm, (1, dm.max_distance)).consume(traces).summary()
     assert summary.frac_below_10pct <= summary.frac_below_20pct
     assert summary.frac_above_90pct <= summary.frac_above_80pct
@@ -216,7 +216,7 @@ def test_receive_probability_oracle_small_graph():
     exact = exact_receive_probabilities(g, 0, p)
     runs = 20_000
     hits = np.zeros(g.n)
-    for tr in run_batch(g, 0, Gossip1(p, 1), runs, 2026):
+    for tr in iter_batch(g, 0, Gossip1(p, 1), runs, 2026):
         hits += tr.received
     mc = hits / runs
     se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / runs)
@@ -234,7 +234,7 @@ def test_conditional_coverage_independent_of_k():
     for k in (1, 5):
         acc = CoverageAccumulator(dm, band)
         kept = []
-        for tr in run_batch(g, src, Gossip1(0.7, k), 150, 555):
+        for tr in iter_batch(g, src, Gossip1(0.7, k), 150, 555):
             acc.add(tr)
             if acc.coverages[-1] > 0.5:
                 kept.append(tr)

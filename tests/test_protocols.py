@@ -6,7 +6,6 @@ from gossipsim import (
     Gossip2,
     Gossip3,
     Gossip4,
-    effective_probability,
     protocol_name,
     validate_protocol,
 )
@@ -15,19 +14,6 @@ from gossipsim import (
 def test_flooding_alias():
     assert FLOODING == Gossip1(1.0, 1)
     assert protocol_name(FLOODING) == "flooding"
-
-
-def test_effective_probability():
-    assert effective_probability(0.65, 0.0) == 0.65
-    assert effective_probability(0.65, 0.35) == 1.0
-    assert effective_probability(0.6, 0.2) == pytest.approx(0.75)
-
-
-def test_effective_probability_rejects_full_drop():
-    with pytest.raises(ValueError):
-        effective_probability(0.5, 1.0)
-    with pytest.raises(ValueError):
-        effective_probability(1.5, 0.0)
 
 
 @pytest.mark.parametrize(

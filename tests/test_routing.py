@@ -9,7 +9,6 @@ from gossipsim import (
     Gossip3,
     Gossip4,
     Graph,
-    Grid,
     RandomGeometric,
     build_topology,
     grid_index,
@@ -17,19 +16,7 @@ from gossipsim import (
     run_execution,
 )
 from gossipsim.rng import child_seed
-from gossipsim.routing import (
-    AckPlan,
-    RetryDecision,
-    RouteQuery,
-    discover_route,
-    early_retry_decision,
-    expanding_ring_search,
-    plan_ack_probability,
-    query_for,
-    route_results_to_csv,
-    simulate_ack_count,
-    truncated_flood_stats,
-)
+from gossipsim.routing import RouteQuery, discover_route, query_for, route_results_to_csv
 
 from conftest import line_graph, random_graph
 
@@ -154,106 +141,6 @@ def test_route_validity_parent_chain():
                 steps += 1
                 assert steps <= g.n
             assert steps == tr.hop[dest]
-
-
-def test_plan_ack_probability():
-    assert plan_ack_probability(50, 5).p_ack == pytest.approx(0.1)
-    assert plan_ack_probability(3, 5).p_ack == 1.0
-    assert plan_ack_probability(0, 5).p_ack == 1.0
-    assert plan_ack_probability(100, 5, ack_hop=15).ack_hop == 15
-    with pytest.raises(ValueError):
-        plan_ack_probability(-1, 5)
-    with pytest.raises(ValueError):
-        plan_ack_probability(10, -2)
-
-
-def test_early_retry_decision():
-    assert early_retry_decision(0, 5) is RetryDecision.RETRY_NOW
-    assert early_retry_decision(5, 5) is RetryDecision.CONTINUE_WAITING
-    assert early_retry_decision(0, 0) is RetryDecision.CONTINUE_WAITING
-
-
-def test_ack_count_zero_on_extinct_run(grid20x50):
-    src = grid_index(20, 50, 10, 0)
-    tr = run_execution(grid20x50, src, Gossip1(0.0, 1), 2)  # dies at hop 1
-    plan = plan_ack_probability(40, 5)
-    assert simulate_ack_count(tr, plan) == 0
-    assert early_retry_decision(simulate_ack_count(tr, plan), 5) is RetryDecision.RETRY_NOW
-
-
-def test_ack_count_binomial_mean():
-    # surviving runs on the degree-8 random network: receivers at hop 15
-    # thinned with p_ack = 5/ring should average about 5 acks.
-    g = build_topology(RandomGeometric(1000, 7500, 3000, 250, 38))
-    src = int(np.argmin(g.coords[:, 0]))
-    acks = []
-    for seed in range(30):
-        tr = run_execution(g, src, Gossip1(0.72, 4), seed)
-        ring = int((tr.received & (tr.hop == 15)).sum())
-        if ring < 20:
-            continue  # extinct or tiny ring: not the scenario under test
-        plan = plan_ack_probability(ring, 5)
-        acks.append(simulate_ack_count(tr, plan))
-    assert len(acks) >= 15
-    mean = float(np.mean(acks))
-    # mean of k Binomial(ring, 5/ring) samples: SE ~ sqrt(5/k)
-    assert abs(mean - 5.0) < 4 * (5.0 / len(acks)) ** 0.5
-
-
-def test_truncated_flood_structure(grid20x50):
-    src = grid_index(20, 50, 10, 0)
-    dm = hop_distances(grid20x50, src)
-    for radius in (0, 1, 5, 12):
-        broadcasts, reached = truncated_flood_stats(dm, radius)
-        assert np.array_equal(reached, dm.dist <= radius)
-        assert broadcasts == int((dm.dist < radius).sum())
-
-
-def test_expanding_ring_close_destination(grid20x50):
-    src = grid_index(20, 50, 10, 0)
-    dest = grid_index(20, 50, 10, 3)  # distance 3
-    r = expanding_ring_search(grid20x50, src, dest, [5], FLOODING, 7)
-    assert r.found and r.attempts_used == 1
-    assert r.route_length == 3 == r.shortest_length
-    dm = hop_distances(grid20x50, src)
-    assert r.total_broadcasts == int((dm.dist <= 4).sum())
-
-
-def test_expanding_ring_falls_back(grid20x50):
-    src = grid_index(20, 50, 10, 0)
-    dest = grid_index(20, 50, 10, 30)  # distance 30 > ring radius
-    r = expanding_ring_search(grid20x50, src, dest, [5], FLOODING, 7)
-    assert r.found and r.attempts_used == 2
-    assert r.route_length == 30
-    dm = hop_distances(grid20x50, src)
-    assert r.total_broadcasts == int((dm.dist <= 4).sum()) + grid20x50.n
-
-
-def test_expanding_ring_whole_diameter(grid20x50):
-    src = grid_index(20, 50, 10, 0)
-    dest = grid_index(20, 50, 0, 49)
-    diameter = 59
-    r = expanding_ring_search(grid20x50, src, dest, [diameter], FLOODING, 7)
-    assert r.found and r.attempts_used == 1
-    assert r.route_length == r.shortest_length
-
-
-def test_expanding_ring_gossip_fallback(grid20x50):
-    src = grid_index(20, 50, 10, 0)
-    dest = grid_index(20, 50, 10, 40)
-    r = expanding_ring_search(grid20x50, src, dest, [2, 5], Gossip3(0.65, 1, 1, 2), 99)
-    assert r.attempts_used == 3
-    if r.found:
-        assert r.route_length >= r.shortest_length
-
-
-def test_expanding_ring_validation(grid20x50):
-    with pytest.raises(ValueError):
-        expanding_ring_search(grid20x50, 0, 1, [], FLOODING, 1)
-    with pytest.raises(ValueError):
-        expanding_ring_search(grid20x50, 0, 1, [5, 3], FLOODING, 1)
-    with pytest.raises(ValueError):
-        expanding_ring_search(grid20x50, 0, 0, [3], FLOODING, 1)
 
 
 def test_route_results_csv():

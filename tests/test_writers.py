@@ -96,6 +96,10 @@ def _writer_outputs(tmp_path) -> dict:
         dirs.append(str(tmp_path / cfg.name))
     out = tmp_path / "report"
     report(dirs, out_dir=str(out))
+    # the gnuplot file carries overhead.csv's ratio at full precision
+    header, row = (tmp_path / "pin_overhead" / "overhead.csv").read_text().splitlines()
+    ratio = dict(zip(header.split(","), row.split(",")))["ratio"]
+    assert (out / "report_overhead.dat").read_text().splitlines()[1:] == [f"pin_overhead {ratio}"]
     for name in ("report_theta.dat", "report_overhead.dat", "report.gp"):
         got[f"report/{name}"] = _digest((out / name).read_bytes())
     return got
@@ -103,12 +107,13 @@ def _writer_outputs(tmp_path) -> dict:
 
 # SHA-256 of every writer outside the metric CSVs and manifests (which
 # test_canned_artifacts_match_pinned_digests pins), recorded before the
-# writers shared one row formatter.
+# writers shared one row formatter; report_overhead.dat re-recorded when it
+# took overhead.csv's full-precision ratio instead of the table's 3 decimals.
 WRITER_DIGESTS = {
     "edges/grid": "88762691d43356683479699694cf4013c8420e8b9b08fbcc2b3ee56a51b2e267",
     "edges/rgg": "cea2f9684e806e4cef6dfe153edd7826b7ccd4ba8147d5371770e47af56062c3",
     "report/report.gp": "c23dea8f5578e08bf6703d12e97570cb0bfadc2c60262c24aac947e57cdcc0fb",
-    "report/report_overhead.dat": "1e55e8591071075513cc6f7e2519b87657800dfd3f6f9501c5effa331046b066",
+    "report/report_overhead.dat": "0a5c349d9f548a8574bf07a9ab447e1f4d8f53be1c27a9cc63e828ea6730fb61",
     "report/report_theta.dat": "1d8b46663d529dc37277821b8ec0a4a316f3da68b07066b65c7baa940f3532f6",
     "route_discovery": "761077c26ad861577db4dd6cb23c4f4aa295cc54cd5eb9ea3e220892ebb95845",
     "trace/gossip3_0": "dbabd4858d9b23262408f191fcc5cc122383962996cbb2da23ac803168c8d18c",
