@@ -12,6 +12,14 @@ with L incremented.  No node ever broadcasts twice.
 Randomness: the per-node forwarding draw comes from child stream `node`
 of the execution seed, so a trace is a pure function of
 (graph, source, spec, seed) regardless of traversal order.
+
+Gossip2 and Gossip3 with m > 0 take the key-based round loop (boosts, copy
+counts, timeout checks).  Every other spec has no boost and no timeout, so a
+node sends in the round after its first receipt or never: its hop is its
+receive round, its parent the lowest-id sender of that round, and it
+forwards iff its coin is heads or its hop is below k.  These take the lean
+loop, which gives the key-based loop's trace.  Both loops call
+`gather_neighbors` once per round that has a sender.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .textio import write_rows
 from .topology import Graph, gather_neighbors
 
 _NO_KEY = np.iinfo(np.int64).max
+_ARRAY_FIELDS = ("received", "receive_round", "hop", "parent", "forwarded", "timeout_forward", "L_at_receipt")
 
 
 @dataclass
@@ -56,16 +65,8 @@ class ExecutionTrace:
 
     def same_outcome(self, other: "ExecutionTrace") -> bool:
         """Trace equivalence ignoring the protocol/seed labels."""
-        return (
-            self.source == other.source
-            and self.broadcast_count == other.broadcast_count
-            and np.array_equal(self.received, other.received)
-            and np.array_equal(self.receive_round, other.receive_round)
-            and np.array_equal(self.hop, other.hop)
-            and np.array_equal(self.parent, other.parent)
-            and np.array_equal(self.forwarded, other.forwarded)
-            and np.array_equal(self.timeout_forward, other.timeout_forward)
-            and np.array_equal(self.L_at_receipt, other.L_at_receipt)
+        return (self.source, self.broadcast_count) == (other.source, other.broadcast_count) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAY_FIELDS
         )
 
     def to_csv(self, path_or_file) -> None:
@@ -80,14 +81,55 @@ class ExecutionTrace:
 
 def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> ExecutionTrace:
     """Simulate one propagation of a route request from `source`."""
+    keyed = isinstance(spec, Gossip2) or (isinstance(spec, Gossip3) and spec.m > 0)
+    return _execute(g, source, spec, seed, _keyed_rounds if keyed else _lean_rounds)
+
+
+def _execute(g: Graph, source: int, spec: ProtocolSpec, seed: int, loop) -> ExecutionTrace:
     validate_protocol(spec)
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} outside graph of size {g.n}")
+    draws = unit_uniforms(seed, np.arange(g.n, dtype=np.int64))
+    fields = dict(zip(_ARRAY_FIELDS, loop(g, source, spec, draws)))
+    for arr in fields.values():
+        arr.flags.writeable = False
+    return ExecutionTrace(int(source), spec, int(seed), **fields, broadcast_count=int(fields["forwarded"].sum()))
 
+
+def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -> tuple:
+    n = g.n
+    coin = draws < spec.p
+    low = np.full(n, n, dtype=np.intp)  # lowest sender heard this round; -1 once received
+    parent = np.full(n, -1, dtype=np.int32)
+    receive_round = np.full(n, -1, dtype=np.int32)
+    low[source] = -1
+    receive_round[source] = 0
+    frontier = np.array([source], dtype=np.intp)
+    t = 0
+    while True:
+        senders = frontier if t < spec.k else frontier[coin[frontier]]
+        if not senders.size:
+            break
+        targets, snd = gather_neighbors(g, senders)
+        np.minimum.at(low, targets, snd)
+        # (target, sender) pairs are unique within a round, so exactly one
+        # entry per new receiver holds its lowest sender
+        won = low[targets] == snd
+        frontier = targets[won]
+        parent[frontier] = snd[won]
+        low[frontier] = -1
+        t += 1
+        receive_round[frontier] = t
+    received = receive_round >= 0
+    forwarded = received & (coin | (receive_round < spec.k))
+    zeros = np.zeros(n, dtype=np.int32)
+    # hop is the receive round: one read-only array serves both, and pickles once
+    return received, receive_round, receive_round, parent, forwarded, zeros.astype(bool), zeros
+
+
+def _keyed_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -> tuple:
     n = g.n
     stride = n + 1
-    draws = unit_uniforms(seed, np.arange(n, dtype=np.int64))
-
     receive_round = np.full(n, -1, dtype=np.int32)
     timeout_forward = np.zeros(n, dtype=bool)
     L_first = np.zeros(n, dtype=np.int32)
@@ -172,26 +214,11 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
         t += 1
 
     received = receive_round >= 0
-    forwarded = send_key >= 0
     hop, parent = np.divmod(first_key, stride)
     hop = np.where(received, hop, -1).astype(np.int32)
     parent = np.where(received, parent, -1).astype(np.int32)
     parent[source] = -1
-    for arr in (received, receive_round, hop, parent, forwarded, timeout_forward, L_first):
-        arr.flags.writeable = False
-    return ExecutionTrace(
-        source=int(source),
-        protocol=spec,
-        seed=int(seed),
-        received=received,
-        receive_round=receive_round,
-        hop=hop,
-        parent=parent,
-        forwarded=forwarded,
-        timeout_forward=timeout_forward,
-        L_at_receipt=L_first,
-        broadcast_count=int(forwarded.sum()),
-    )
+    return received, receive_round, hop, parent, send_key >= 0, timeout_forward, L_first
 
 
 _POOL_STATE: dict = {}

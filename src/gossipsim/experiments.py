@@ -35,7 +35,7 @@ from .protocols import (
     validate_protocol,
 )
 from .rng import child_seed
-from .routing import discover_route, query_for, route_results_to_csv
+from .routing import discover_route, query_for, route_results_to_csv, zone_ball
 from .textio import write_rows
 from .topology import (
     UNREACHABLE,
@@ -195,6 +195,16 @@ _KEYS: dict[str, Callable[[str], object]] = {
 }
 
 
+def _parse_value(key: str, text: str) -> object:
+    """`_KEYS[key](text)`, with a bare ValueError reported as a bad value of `key`."""
+    try:
+        return _KEYS[key](text)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad {key} value: {text!r} ({exc})") from None
+
+
 def parse_config_text(text: str, default_name: str = "experiment") -> ExperimentConfig:
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -214,10 +224,10 @@ def parse_config_text(text: str, default_name: str = "experiment") -> Experiment
     for req in ("schema_version", "topology", "source", "runs", "base_seed"):
         if req not in raw:
             raise ConfigError(f"missing required key {req!r}")
-    version = raw.pop("schema_version")
-    if int(version) != SCHEMA_VERSION:
+    version = _parse_value("schema_version", raw.pop("schema_version"))
+    if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
-    fields = {key: _KEYS[key](value) for key, value in raw.items()}
+    fields = {key: _parse_value(key, value) for key, value in raw.items()}
     cfg = ExperimentConfig(**{"name": default_name, **fields})
     _validate_config(cfg)
     return cfg
@@ -231,6 +241,8 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
+    if not cfg.name:
+        raise ConfigError("name must be non-empty")
     for key in ("runs", "route_distance", "route_queries", "route_attempts"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
@@ -456,12 +468,15 @@ def _route_discovery(rs: ResultSet, g: Graph, dmap: DistanceMap):
     if not dests.size:
         raise ConfigError(f"no destinations at distance {cfg.route_distance}")
     rows = []
+    balls = {}  # dest -> zone ball; queries cycle through the destinations
     found = one_shot = 0
     broadcasts = 0
     for j in range(cfg.route_queries):
         dest = int(dests[j % dests.size])
         q = query_for(g, source, dest, cfg.protocol, max_attempts=cfg.route_attempts)
-        r = discover_route(g, q, child_seed(cfg.base_seed, _ROUTE_QUERY_STREAM + j), dmap)
+        if dest not in balls:
+            balls[dest] = zone_ball(g, q)
+        r = discover_route(g, q, child_seed(cfg.base_seed, _ROUTE_QUERY_STREAM + j), dmap, balls[dest])
         rows.append((source, dest, r))
         found += r.found
         one_shot += r.found and r.attempts_used == 1

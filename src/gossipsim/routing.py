@@ -52,13 +52,18 @@ def query_for(g: Graph, source: int, dest: int, protocol: ProtocolSpec, max_atte
     return RouteQuery(source=source, dest=dest, protocol=protocol, max_attempts=max_attempts, zone_radius=zone)
 
 
+def zone_ball(g: Graph, q: RouteQuery) -> tuple:
+    """Nodes within `q.zone_radius` hops of `q.dest` and their hop distances."""
+    return ball_distances(g, q.dest, q.zone_radius)
+
+
 def discover_route(
-    g: Graph, q: RouteQuery, base_seed: int, dmap: Optional[DistanceMap] = None
+    g: Graph, q: RouteQuery, base_seed: int, dmap: Optional[DistanceMap] = None, ball: Optional[tuple] = None
 ) -> RouteResult:
     """Run up to max_attempts independent executions, stopping at the first hit.
 
-    `dmap`, the hop distances from `q.source` if the caller has them, saves a
-    BFS per query.
+    `dmap`, the hop distances from `q.source`, and `ball`, `zone_ball(g, q)`,
+    each save a BFS per query when the caller has them.
     """
     if not (0 <= q.dest < g.n):
         raise ValueError(f"destination {q.dest} outside graph of size {g.n}")
@@ -67,27 +72,16 @@ def discover_route(
     elif dmap.source != q.source or dmap.dist.size != g.n:
         raise ValueError(f"distance map from node {dmap.source} does not fit query source {q.source}")
     shortest = int(dmap.dist[q.dest]) if dmap.dist[q.dest] != UNREACHABLE else None
-    ball_nodes, ball_dist = ball_distances(g, q.dest, q.zone_radius)
+    ball_nodes, ball_dist = zone_ball(g, q) if ball is None else ball
     total = 0
     for i in range(q.max_attempts):
         trace = run_execution(g, q.source, q.protocol, child_seed(base_seed, i))
         total += trace.broadcast_count
         got = trace.received[ball_nodes]  # zone members the request reached
         if got.any():
-            return RouteResult(
-                found=True,
-                attempts_used=i + 1,
-                total_broadcasts=total,
-                route_length=int((trace.hop[ball_nodes[got]] + ball_dist[got]).min()),
-                shortest_length=shortest,
-            )
-    return RouteResult(
-        found=False,
-        attempts_used=q.max_attempts,
-        total_broadcasts=total,
-        route_length=None,
-        shortest_length=shortest,
-    )
+            length = int((trace.hop[ball_nodes[got]] + ball_dist[got]).min())
+            return RouteResult(True, i + 1, total, length, shortest)
+    return RouteResult(False, q.max_attempts, total, None, shortest)
 
 
 def route_results_to_csv(path_or_file, rows: Sequence[tuple[int, int, RouteResult]]) -> None:

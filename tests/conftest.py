@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gossipsim import Graph
+from gossipsim import Graph, engine
 from gossipsim.rng import unit_uniforms
 
 
@@ -16,6 +16,12 @@ def random_graph(n: int, edge_prob: float, seed: int, coords: bool = False) -> G
         u = unit_uniforms(seed + 1, np.arange(2 * n, dtype=np.int64))
         xy = np.column_stack([u[0::2] * 100.0, u[1::2] * 100.0])
     return Graph(n, pairs, xy)
+
+
+def keyed_execution(g: Graph, source: int, spec, seed: int):
+    """`run_execution` through the key-based loop, whatever the spec: the
+    reference the lean loop must match."""
+    return engine._execute(g, source, spec, seed, engine._keyed_rounds)
 
 
 def line_graph(n: int) -> Graph:

@@ -10,6 +10,7 @@ from gossipsim import (
     Gossip2,
     Gossip3,
     Gossip4,
+    Graph,
     Grid,
     RandomGeometric,
     RegularMesh,
@@ -19,9 +20,10 @@ from gossipsim import (
     iter_batch,
     run_execution,
 )
-from gossipsim.rng import child_seed
+from gossipsim import engine
+from gossipsim.rng import child_seed, unit_uniforms
 
-from conftest import line_graph, random_graph
+from conftest import keyed_execution, line_graph, random_graph
 
 
 def test_flooding_is_bfs(grid20x50):
@@ -219,6 +221,59 @@ def test_gossip4_propagates_like_gossip1():
     a = run_execution(g, 0, Gossip4(0.6, 2, 5), 1234)
     b = run_execution(g, 0, Gossip1(0.6, 2), 1234)
     assert a.same_outcome(b)
+
+
+def test_loop_choice_by_spec(monkeypatch):
+    # a loop set to None fails if called, so each spec must take the other
+    g = line_graph(4)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_keyed_rounds", None)
+        for spec in (FLOODING, Gossip1(0.5, 1), Gossip4(0.5, 1, 2), Gossip3(0.5, 1, 0, 2)):
+            run_execution(g, 0, spec, 3)
+    monkeypatch.setattr(engine, "_lean_rounds", None)
+    for spec in (Gossip2(0.5, 1, 0.9, 3), Gossip3(0.5, 1, 1, 2)):
+        run_execution(g, 0, spec, 3)
+
+
+def test_lean_loop_extremes_match_keyed_loop():
+    single = Graph(1, np.zeros((0, 2), dtype=np.int64))
+    # node 0 has no neighbours; 1-2-3 is a path
+    isolated = Graph(4, np.array([[1, 2], [2, 3]]))
+    g = random_graph(40, 0.1, 5)
+    cases = [(single, 0, spec) for spec in (FLOODING, Gossip1(0.0, 0), Gossip1(0.5, 0), Gossip1(1.0, 0))]
+    cases += [(isolated, 0, FLOODING), (isolated, 0, Gossip1(0.5, 0)), (isolated, 1, Gossip4(0.3, 0, 1))]
+    cases += [(g, 0, Gossip1(p, k)) for p in (0.0, 1.0) for k in (0, 1, 3)]
+    for graph, source, spec in cases:
+        for seed in range(20):
+            lean = run_execution(graph, source, spec, seed)
+            assert lean.same_outcome(keyed_execution(graph, source, spec, seed)), (graph.n, source, spec, seed)
+            for arr in (lean.received, lean.receive_round, lean.hop, lean.parent,
+                        lean.forwarded, lean.timeout_forward, lean.L_at_receipt):
+                assert not arr.flags.writeable
+    # a degree-0 source that forwards broadcasts once and reaches no one
+    tr = run_execution(isolated, 0, FLOODING, 1)
+    assert tr.broadcast_count == 1 and tr.received.sum() == 1
+    # k = 0 and a closed source: nothing is sent
+    seed = next(s for s in range(100) if unit_uniforms(s, np.arange(g.n))[0] >= 0.5)
+    tr = run_execution(g, 0, Gossip1(0.5, 0), seed)
+    assert tr.broadcast_count == 0 and tr.received.sum() == 1
+    assert tr.same_outcome(keyed_execution(g, 0, Gossip1(0.5, 0), seed))
+
+
+def test_lean_loop_long_path_under_flooding(monkeypatch):
+    # one send round per node, each one call of the engine's gather_neighbors
+    n = 20_000
+    g = line_graph(n)
+    calls = []
+    gather = engine.gather_neighbors
+    monkeypatch.setattr(engine, "gather_neighbors", lambda *a: calls.append(1) or gather(*a))
+    tr = run_execution(g, 0, FLOODING, 9)
+    assert len(calls) == n
+    assert np.array_equal(tr.hop, hop_distances(g, 0).dist)
+    assert np.array_equal(tr.receive_round, tr.hop)
+    assert tr.parent[0] == -1 and np.array_equal(tr.parent[1:], np.arange(n - 1))
+    assert tr.broadcast_count == n
+    assert tr.same_outcome(keyed_execution(g, 0, FLOODING, 9))
 
 
 # SHA-256 of seeds 0-4 of every (graph, protocol) pair, recorded before the

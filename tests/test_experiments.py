@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import Gossip1, Gossip3, Grid, RandomGeometric, build_topology, load_edgelist
+from gossipsim import Gossip1, Gossip3, Grid, RandomGeometric, build_topology, load_edgelist, routing
 from gossipsim.cli import main as cli_main
 from gossipsim.experiments import (
     ConfigError,
@@ -100,6 +100,7 @@ def test_parse_roundtrip():
         ("topology: grid 8 12", "topology:"),
         ("source: left_row 4", "source:"),
         ("protocol: gossip1 0.7 2", "protocol:"),
+        ("name: tiny", "name:"),
     ],
 )
 def test_bad_configs_rejected(mutation):
@@ -239,7 +240,7 @@ def test_boundary_mask_lattice_and_rgg():
     assert not mask2[inner].any()
 
 
-def test_route_metrics_config(tmp_path):
+def test_route_metrics_config(tmp_path, monkeypatch):
     text = """
 schema_version: 1
 name: route_tiny
@@ -255,8 +256,14 @@ route_min_distance: 3
 metrics: route_discovery route_length
 """
     cfg = parse_config_text(text)
+    centers = []
+    ball_distances = routing.ball_distances
+    monkeypatch.setattr(routing, "ball_distances", lambda g, c, r: centers.append(c) or ball_distances(g, c, r))
     rs = run_experiment(cfg, out_dir=str(tmp_path / "routes"))
     assert sorted(rs.artifacts) == ["route_discovery.csv", "route_length.csv", "route_summary.csv"]
+    # the 40 queries cycle through the destinations; one zone ball each
+    dests = (tmp_path / "routes" / "route_discovery.csv").read_text().splitlines()[1:]
+    assert len(dests) == 40 and sorted(centers) == sorted({int(row.split(",")[1]) for row in dests})
     summary = rs.results["route_discovery"]
     assert summary["queries"] == 40
     assert 0.0 <= summary["success_rate"] <= 1.0
@@ -373,6 +380,36 @@ def test_cli_empty_value_is_one_json_line(tmp_path, capsys):
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error"}
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_empty_name_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY.replace("name: tiny", "name:"))
+    assert cli_main(["run", str(bad)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "name must be non-empty"}
+    assert os.listdir(tmp_path) == ["bad.cfg"]
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("runs: 40", "runs: abc", "runs"),
+        ("base_seed: 99", "base_seed: 9.5", "base_seed"),
+        ("runs: 40", "runs: 40\nextinction_threshold: half", "extinction_threshold"),
+    ],
+)
+def test_bad_number_names_its_key(tmp_path, capsys, old, new, key):
+    text = TINY.replace(old, new)
+    value = new.rsplit(": ", 1)[1]
+    with pytest.raises(ConfigError, match=f"^bad {key} value: '{value}' "):
+        parse_config_text(text)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert cli_main(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"].startswith(f"bad {key} value: '{value}' (")
 
 
 def test_cli_sweep_and_report(tmp_path, capsys):

@@ -21,7 +21,7 @@ from gossipsim import (
 )
 from gossipsim.metrics import CoverageAccumulator, ProfileAccumulator
 
-from conftest import random_graph
+from conftest import keyed_execution, random_graph
 
 graph_params = st.tuples(
     st.integers(min_value=2, max_value=30),      # nodes
@@ -78,6 +78,30 @@ def test_trace_invariants(params, spec, seed):
     # non-receivers carry empty fields
     for v in np.flatnonzero(~tr.received):
         assert tr.receive_round[v] == -1 and tr.hop[v] == -1 and tr.parent[v] == -1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.4]),  # sparse draws leave isolated nodes
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from(["gossip1", "flooding", "gossip4", "gossip3 m=0"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**9),
+)
+def test_lean_loop_matches_keyed_loop(n, gseed, prob, p, k, kind, src, seed):
+    g = random_graph(n, prob, gseed)
+    spec = {
+        "gossip1": Gossip1(p, k),
+        "flooding": FLOODING,
+        "gossip4": Gossip4(p, k, 2),
+        "gossip3 m=0": Gossip3(p, k, 0, 2),
+    }[kind]
+    source = src % n
+    lean = run_execution(g, source, spec, seed)
+    assert lean.same_outcome(keyed_execution(g, source, spec, seed))
 
 
 @settings(max_examples=40, deadline=None)
