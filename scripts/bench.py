@@ -8,8 +8,12 @@ For each round and each workload in the change's BENCHMARK.json, runs
 goes first, and reads the JSON result on its last line.  The record holds,
 per workload and side, every run's end-to-end metrics with their median and
 quartiles, how many runs reported `correct`, and per metric the number of
-pairs the change won (ties count for neither side).  Both sides run with the
-same seed and seconds, so each pair differs only in the checkout.
+pairs the change won (ties count for neither side).  Round i runs both sides
+with seed 1 + i and BENCHMARK.json's run_seconds, so each pair differs only in
+the checkout.  A run that exits nonzero or prints no result is kept in the
+record with its return code and the tail of its stderr, listed under
+`failed_runs`, and left out of the metrics and of the pairs; the script then
+writes the record and exits 1.
 """
 
 import argparse
@@ -20,15 +24,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+SEED = 1  # seed of round 0; round i uses SEED + i
+
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The run's JSON result, or {"returncode", "stderr"} when it has none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        sys.exit(f"bench: {' '.join(cmd)} in {checkout} failed ({proc.returncode}):\n{proc.stderr}")
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or "metrics" not in result:
+        return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return result
 
 
 def spread(values: list) -> dict:
@@ -42,14 +53,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--rounds", required=True, type=int, help="pairs of runs per workload")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seed", type=int, default=1, help="seed of round 0; round i uses seed + i")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     results = {w["name"]: {side: [] for side in sides} for w in bench["workloads"]}
@@ -57,38 +66,45 @@ def main(argv=None) -> int:
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for workload, runs in results.items():
             for side in order:
-                runs[side].append(run_once(sides[side], workload, args.seed + i, seconds))
-                value = runs[side][-1]["metrics"].get("wall_ref", {}).get("value")
+                runs[side].append(run_once(sides[side], workload, SEED + i, seconds))
+                value = runs[side][-1].get("metrics", {}).get("wall_ref", {}).get("value")
                 print(f"round {i} {workload} {side} wall_ref={value}", file=sys.stderr, flush=True)
 
     record = {
         "command": "perfbench/run.py --trace 0",
         "rounds": args.rounds,
         "seconds": seconds,
-        "seeds": [args.seed, args.seed + args.rounds - 1],
+        "seeds": [SEED, SEED + args.rounds - 1],
         "nproc": os.cpu_count(),
         "workloads": {},
     }
+    any_failed = False
     for workload, runs in results.items():
         entry = {}
         for side, side_runs in runs.items():
+            done = [r for r in side_runs if "metrics" in r]
+            any_failed |= len(done) < len(side_runs)
             entry[side] = {
-                "correct": sum(r["correct"] for r in side_runs),
-                "failed": sum(r["failed"] for r in side_runs),
-                "attempted": sum(r["attempted"] for r in side_runs),
-                **{m: spread([r["metrics"][m]["value"] for r in side_runs]) for m in metrics},
+                "correct": sum(r["correct"] for r in done),
+                "failed": sum(r["failed"] for r in done),
+                "attempted": sum(r["attempted"] for r in done),
+                "failed_runs": [r for r in side_runs if "metrics" not in r],
             }
+            if done:
+                entry[side].update({m: spread([r["metrics"][m]["value"] for r in done]) for m in metrics})
+        pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if "metrics" in p and "metrics" in c]
         entry["change_wins"] = {}
         for m, better in metrics.items():
             sign = -1 if better == "lower" else 1
-            pairs = zip(entry["parent"][m]["values"], entry["change"][m]["values"])
-            entry["change_wins"][m] = sum(sign * (c - p) > 0 for p, c in pairs)
-        entry["median_change_over_parent"] = {
-            m: entry["change"][m]["median"] / entry["parent"][m]["median"] for m in metrics
-        }
+            deltas = (c["metrics"][m]["value"] - p["metrics"][m]["value"] for p, c in pairs)
+            entry["change_wins"][m] = sum(sign * d > 0 for d in deltas)
+        if all(m in entry[side] for side in sides for m in metrics):
+            entry["median_change_over_parent"] = {
+                m: entry["change"][m]["median"] / entry["parent"][m]["median"] for m in metrics
+            }
         record["workloads"][workload] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":

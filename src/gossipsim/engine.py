@@ -14,12 +14,11 @@ of the execution seed, so a trace is a pure function of
 (graph, source, spec, seed) regardless of traversal order.
 
 Gossip2 and Gossip3 with m > 0 take the key-based round loop (boosts, copy
-counts, timeout checks).  Every other spec has no boost and no timeout, so a
-node sends in the round after its first receipt or never: its hop is its
-receive round, its parent the lowest-id sender of that round, and it
-forwards iff its coin is heads or its hop is below k.  These take the lean
-loop, which gives the key-based loop's trace.  Both loops call
-`gather_neighbors` once per round that has a sender.
+counts, timeouts).  Other specs have neither: a node sends in the round after
+its first receipt or never, so its hop is its receive round, its parent the
+lowest-id sender of that round, and it forwards iff its coin is heads or its
+hop is below k.  The lean loop builds that same trace directly.  Both loops
+call `gather_neighbors` once per round that has a sender.
 """
 
 from __future__ import annotations
@@ -90,10 +89,11 @@ def _execute(g: Graph, source: int, spec: ProtocolSpec, seed: int, loop) -> Exec
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} outside graph of size {g.n}")
     draws = unit_uniforms(seed, np.arange(g.n, dtype=np.int64))
-    fields = dict(zip(_ARRAY_FIELDS, loop(g, source, spec, draws)))
-    for arr in fields.values():
+    arrays = loop(g, source, spec, draws)
+    for arr in arrays:
         arr.flags.writeable = False
-    return ExecutionTrace(int(source), spec, int(seed), **fields, broadcast_count=int(fields["forwarded"].sum()))
+    fields = dict(zip(_ARRAY_FIELDS, arrays), source=int(source), protocol=spec, seed=int(seed))
+    return ExecutionTrace(**fields, broadcast_count=int(fields["forwarded"].sum()))
 
 
 def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -> tuple:
@@ -112,8 +112,7 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
             break
         targets, snd = gather_neighbors(g, senders)
         np.minimum.at(low, targets, snd)
-        # (target, sender) pairs are unique within a round, so exactly one
-        # entry per new receiver holds its lowest sender
+        # (target, sender) pairs are unique in a round: one entry per new receiver wins
         won = low[targets] == snd
         frontier = targets[won]
         parent[frontier] = snd[won]
@@ -122,9 +121,8 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
         receive_round[frontier] = t
     received = receive_round >= 0
     forwarded = received & (coin | (receive_round < spec.k))
-    zeros = np.zeros(n, dtype=np.int32)
     # hop is the receive round: one read-only array serves both, and pickles once
-    return received, receive_round, receive_round, parent, forwarded, zeros.astype(bool), zeros
+    return received, receive_round, receive_round, parent, forwarded, np.zeros(n, bool), np.zeros(n, np.int32)
 
 
 def _keyed_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -> tuple:

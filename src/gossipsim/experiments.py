@@ -468,15 +468,13 @@ def _route_discovery(rs: ResultSet, g: Graph, dmap: DistanceMap):
     if not dests.size:
         raise ConfigError(f"no destinations at distance {cfg.route_distance}")
     rows = []
-    balls = {}  # dest -> zone ball; queries cycle through the destinations
-    found = one_shot = 0
-    broadcasts = 0
+    # queries cycle through the destinations: one zone ball per destination reached
+    balls = [zone_ball(g, query_for(g, source, int(d), cfg.protocol)) for d in dests[: cfg.route_queries]]
+    found = one_shot = broadcasts = 0
     for j in range(cfg.route_queries):
         dest = int(dests[j % dests.size])
         q = query_for(g, source, dest, cfg.protocol, max_attempts=cfg.route_attempts)
-        if dest not in balls:
-            balls[dest] = zone_ball(g, q)
-        r = discover_route(g, q, child_seed(cfg.base_seed, _ROUTE_QUERY_STREAM + j), dmap, balls[dest])
+        r = discover_route(g, q, child_seed(cfg.base_seed, _ROUTE_QUERY_STREAM + j), dmap, balls[j % dests.size])
         rows.append((source, dest, r))
         found += r.found
         one_shot += r.found and r.attempts_used == 1

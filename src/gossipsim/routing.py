@@ -73,15 +73,28 @@ def discover_route(
         raise ValueError(f"distance map from node {dmap.source} does not fit query source {q.source}")
     shortest = int(dmap.dist[q.dest]) if dmap.dist[q.dest] != UNREACHABLE else None
     ball_nodes, ball_dist = zone_ball(g, q) if ball is None else ball
+    if ball_nodes[ball_dist == 0].tolist() != [q.dest] or ball_dist.max() > q.zone_radius:
+        raise ValueError(f"zone ball does not fit query destination {q.dest} and radius {q.zone_radius}")
     total = 0
     for i in range(q.max_attempts):
         trace = run_execution(g, q.source, q.protocol, child_seed(base_seed, i))
         total += trace.broadcast_count
         got = trace.received[ball_nodes]  # zone members the request reached
         if got.any():
-            length = int((trace.hop[ball_nodes[got]] + ball_dist[got]).min())
-            return RouteResult(True, i + 1, total, length, shortest)
-    return RouteResult(False, q.max_attempts, total, None, shortest)
+            return RouteResult(
+                found=True,
+                attempts_used=i + 1,
+                total_broadcasts=total,
+                route_length=int((trace.hop[ball_nodes[got]] + ball_dist[got]).min()),
+                shortest_length=shortest,
+            )
+    return RouteResult(
+        found=False,
+        attempts_used=q.max_attempts,
+        total_broadcasts=total,
+        route_length=None,
+        shortest_length=shortest,
+    )
 
 
 def route_results_to_csv(path_or_file, rows: Sequence[tuple[int, int, RouteResult]]) -> None:
