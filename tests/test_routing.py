@@ -84,22 +84,15 @@ def test_discover_route_reuses_distance_map():
     for spec in (FLOODING, Gossip1(0.5, 1), Gossip3(0.5, 1, 1, 2), Gossip4(0.5, 1, 2)):
         for j, dest in enumerate(dests):
             q = query_for(g, src, int(dest), spec, max_attempts=2)
-            assert discover_route(g, q, child_seed(3, j), dm) == discover_route(g, q, child_seed(3, j))
+            expected = discover_route(g, q, child_seed(3, j))
+            assert discover_route(g, q, child_seed(3, j), dm) == expected
+            assert discover_route(g, q, child_seed(3, j), ball=zone_ball(g, q)) == expected
     other = hop_distances(g, int(dests[0]))
     with pytest.raises(ValueError):
         discover_route(g, query_for(g, src, int(dests[1]), FLOODING), 1, other)
     with pytest.raises(ValueError):
         discover_route(line_graph(5), query_for(None, src, 1, FLOODING), 1, dm)
-
-
-def test_discover_route_reuses_zone_ball():
-    g = build_topology(RandomGeometric(100, 2200, 600, 250, 34))
-    src = int(np.argmin(g.coords[:, 0]))
-    dests = np.flatnonzero(hop_distances(g, src).dist > 0)[::7]
     spec = Gossip4(0.5, 1, 2)
-    for j, dest in enumerate(dests):
-        q = query_for(g, src, int(dest), spec, max_attempts=2)
-        assert discover_route(g, q, child_seed(3, j), ball=zone_ball(g, q)) == discover_route(g, q, child_seed(3, j))
     q = query_for(g, src, int(dests[1]), spec)
     for wrong in (
         zone_ball(g, query_for(g, src, int(dests[0]), spec)),  # another destination
