@@ -14,6 +14,12 @@ the checkout.  A run that exits nonzero or prints no result is kept in the
 record with its return code and the tail of its stderr, listed under
 `failed_runs`, and left out of the metrics and of the pairs; the script then
 writes the record and exits 1.
+
+After the pairs, each side runs every workload once more traced
+(`--trace 1 --seconds 5 --seed 1`); the record keeps, under `traced`, that
+run's checks, its exact engine counts and the layer metrics named in
+TRACED_METRICS, and whether both sides' engine counts are equal (a traced
+run that fails is kept like a failed untimed run).
 """
 
 import argparse
@@ -25,12 +31,17 @@ import sys
 from pathlib import Path
 
 SEED = 1  # seed of round 0; round i uses SEED + i
+TRACED_SECONDS = 5
+TRACED_METRICS = ("engine.us_per_round", "engine.self_s", "topology.gather_s")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The run's JSON result, or {"returncode", "stderr"} when it has none."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The run's JSON result, or {"returncode", "stderr"} when it has none.
+
+    A traced run's result also holds its `checks` and `engine_counts` lines.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -39,7 +50,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = None
     if not isinstance(result, dict) or "metrics" not in result:
         return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
+    for line in lines:
+        tag, _, rest = line.partition(" ")
+        if tag == "checks":
+            result["checks"] = {k: v == "True" for k, v in (item.split("=", 1) for item in rest.split())}
+        elif tag == "engine_counts":
+            result["engine_counts"] = json.loads(rest)
     return result
+
+
+def traced_summary(result: dict) -> dict:
+    """What the record keeps of a traced run: checks, engine counts, TRACED_METRICS."""
+    if "metrics" not in result:
+        return result
+    kept = {m: result["metrics"][m]["value"] for m in TRACED_METRICS if m in result["metrics"]}
+    return {"correct": result["correct"], "checks": result.get("checks"),
+            "engine_counts": result.get("engine_counts"), **kept}
 
 
 def spread(values: list) -> dict:
@@ -75,6 +101,7 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "seconds": seconds,
         "seeds": [SEED, SEED + args.rounds - 1],
+        "traced_command": f"perfbench/run.py --trace 1 --seconds {TRACED_SECONDS} --seed {SEED}",
         "nproc": os.cpu_count(),
         "workloads": {},
     }
@@ -102,6 +129,11 @@ def main(argv=None) -> int:
             entry["median_change_over_parent"] = {
                 m: entry["change"][m]["median"] / entry["parent"][m]["median"] for m in metrics
             }
+        entry["traced"] = {side: traced_summary(run_once(path, workload, SEED, TRACED_SECONDS, trace=1))
+                           for side, path in sides.items()}
+        any_failed |= any("returncode" in t for t in entry["traced"].values())
+        counts = [t.get("engine_counts") for t in entry["traced"].values()]
+        entry["traced_engine_counts_equal"] = counts[0] is not None and counts[0] == counts[1]
         record["workloads"][workload] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 1 if any_failed else 0

@@ -13,12 +13,15 @@ Randomness: the per-node forwarding draw comes from child stream `node`
 of the execution seed, so a trace is a pure function of
 (graph, source, spec, seed) regardless of traversal order.
 
-Gossip2 and Gossip3 with m > 0 take the key-based round loop (boosts, copy
-counts, timeouts).  Other specs have neither: a node sends in the round after
-its first receipt or never, so its hop is its receive round, its parent the
-lowest-id sender of that round, and it forwards iff its coin is heads or its
-hop is below k.  The lean loop builds that same trace directly.  Both loops
-call `gather_neighbors` once per round that has a sender.
+Only Gossip3 with m > 0 takes the key-based round loop (copy counts,
+timeouts).  Every other spec, Gossip2 included, has no timeout: a node sends
+in the round after its first receipt or never, so its hop is its receive
+round and its parent the lowest-id sender of that round.  The lean loop
+keeps one key, receive round * (n + 1) + parent, per node.  A Gossip2 copy
+from a sender of degree below n_thresh, delivered to a node in the round it
+first receives, switches that node's threshold from p1 to p2 before it
+decides, which is the OR of boosts.  Both loops call `gather_neighbors` once
+per round that has a sender.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class ExecutionTrace:
 
 def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> ExecutionTrace:
     """Simulate one propagation of a route request from `source`."""
-    keyed = isinstance(spec, Gossip2) or (isinstance(spec, Gossip3) and spec.m > 0)
+    keyed = isinstance(spec, Gossip3) and spec.m > 0
     return _execute(g, source, spec, seed, _keyed_rounds if keyed else _lean_rounds)
 
 
@@ -98,34 +101,48 @@ def _execute(g: Graph, source: int, spec: ProtocolSpec, seed: int, loop) -> Exec
 
 def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -> tuple:
     n = g.n
-    coin = draws < spec.p
-    low = np.full(n, n, dtype=np.intp)  # lowest sender heard this round; -1 once received
-    parent = np.full(n, -1, dtype=np.int32)
-    receive_round = np.full(n, -1, dtype=np.int32)
-    low[source] = -1
-    receive_round[source] = 0
+    stride = n + 1
+    k = spec.k
+    boosts = None
+    if isinstance(spec, Gossip2):
+        lucky = draws < spec.p1
+        boosts = g.degrees < spec.n_thresh  # senders whose copies carry the boost
+    else:
+        lucky = draws < spec.p
+    # first[v] = receive_round * (n + 1) + parent of v's first copy: receivers
+    # of earlier rounds hold smaller keys (the source's 0 decodes to parent 0)
+    first = np.full(n, _NO_KEY, dtype=np.int64)
+    first[source] = 0
     frontier = np.array([source], dtype=np.intp)
     t = 0
     while True:
-        senders = frontier if t < spec.k else frontier[coin[frontier]]
+        senders = frontier if t < k else frontier[lucky[frontier]]
         if not senders.size:
             break
         targets, snd = gather_neighbors(g, senders)
-        np.minimum.at(low, targets, snd)
-        # (target, sender) pairs are unique in a round: one entry per new receiver wins
-        won = low[targets] == snd
-        frontier = targets[won]
-        parent[frontier] = snd[won]
-        low[frontier] = -1
         t += 1
-        receive_round[frontier] = t
-    received = receive_round >= 0
-    forwarded = received & (coin | (receive_round < spec.k))
+        key = snd + t * stride
+        np.minimum.at(first, targets, key)
+        seen = first[targets]
+        # (target, sender) pairs are unique in a round: one entry per new receiver wins
+        frontier = targets[seen == key]
+        if boosts is not None:
+            # a boosted copy to a new receiver switches its draw to p2
+            hot = targets[(seen >= t * stride) & boosts[snd]]
+            lucky[hot] = draws[hot] < spec.p2
+    received = first != _NO_KEY
+    # decoded straight into int32 (the cast is buffered, so no int64 copies)
+    receive_round = np.empty(n, dtype=np.int32)
+    parent = np.empty(n, dtype=np.int32)
+    np.divmod(first, stride, out=(receive_round, parent), casting="unsafe")
+    receive_round[~received] = parent[~received] = -1
+    parent[source] = -1
+    forwarded = received & (lucky | (receive_round < k))
     # hop is the receive round: one read-only array serves both, and pickles once
     return received, receive_round, receive_round, parent, forwarded, np.zeros(n, bool), np.zeros(n, np.int32)
 
 
-def _keyed_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -> tuple:
+def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tuple:
     n = g.n
     stride = n + 1
     receive_round = np.full(n, -1, dtype=np.int32)
@@ -136,17 +153,9 @@ def _keyed_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) 
     # broadcast gives its receivers, -1 until u forwards
     first_key = np.full(n, _NO_KEY, dtype=np.int64)
     send_key = np.full(n, -1, dtype=np.int64)
-
-    is_g2 = isinstance(spec, Gossip2)
-    is_g3 = isinstance(spec, Gossip3) and spec.m > 0
-    if is_g2:
-        boost_first = np.zeros(n, dtype=np.uint8)
-        out_boost = (g.degrees < spec.n_thresh).astype(np.uint8)
-    else:
-        coin = draws < spec.p
-    if is_g3:
-        copies = np.zeros(n, dtype=np.int64)  # int64 + intp index: ufunc.at fast path
-        out_L = np.zeros(n, dtype=np.int32)
+    coin = draws < spec.p
+    copies = np.zeros(n, dtype=np.int64)  # int64 + intp index: ufunc.at fast path
+    out_L = np.zeros(n, dtype=np.int32)
     k = spec.k
 
     sends: dict[int, list[np.ndarray]] = {}
@@ -154,21 +163,15 @@ def _keyed_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) 
 
     def decide(nodes: np.ndarray, h: np.ndarray, round_: int) -> None:
         # forward inside the k zone, otherwise with the protocol's probability
-        if is_g2:
-            lucky = draws[nodes] < np.where(boost_first[nodes] > 0, spec.p2, spec.p1)
-        else:
-            lucky = coin[nodes]
-        go = lucky | (h < k)
+        go = coin[nodes] | (h < k)
         fwd = nodes[go]
         if fwd.size:
             send_key[fwd] = (h[go] + 1) * stride + fwd
-            if is_g3:
-                out_L[fwd] = L_first[fwd]
+            out_L[fwd] = L_first[fwd]
             sends.setdefault(round_, []).append(fwd)
-        if is_g3:
-            declined = nodes[~go]
-            if declined.size:
-                checks.setdefault(round_ + spec.timeout_rounds, []).append(declined)
+        declined = nodes[~go]
+        if declined.size:
+            checks.setdefault(round_ + spec.timeout_rounds, []).append(declined)
 
     receive_round[source] = 0
     first_key[source] = 0
@@ -191,18 +194,14 @@ def _keyed_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) 
         if batches:
             senders = batches[0] if len(batches) == 1 else np.concatenate(batches)
             targets, snd = gather_neighbors(g, senders)
-            if is_g3:
-                np.add.at(copies, targets, 1)
+            np.add.at(copies, targets, 1)
             fresh = np.flatnonzero(receive_round[targets] == -1)
             nt = targets[fresh]
             if nt.size:
                 snd = snd[fresh]
                 key = send_key[snd]
                 np.minimum.at(first_key, nt, key)
-                if is_g2:
-                    np.maximum.at(boost_first, nt, out_boost[snd])
-                if is_g3:
-                    np.maximum.at(L_first, nt, out_L[snd])
+                np.maximum.at(L_first, nt, out_L[snd])
                 # (target, sender) pairs are unique within a round, so exactly
                 # one entry per new receiver holds its minimum key
                 won = first_key[nt] == key

@@ -116,10 +116,10 @@ class DegreeStats:
     mean_degree: float
 
 
-def _expand(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenation of the ranges starts[i] .. starts[i] + lens[i] - 1."""
+def _expand(ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges ends[i] - lens[i] .. ends[i] - 1."""
     cum = lens.cumsum()
-    return np.arange(int(cum[-1]), dtype=np.int64) + (starts - (cum - lens)).repeat(lens)
+    return (ends - cum).repeat(lens) + np.arange(int(cum[-1]))
 
 
 def gather_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +132,7 @@ def gather_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if not nodes.size:
         return np.array([], dtype=np.intp), np.array([], dtype=np.intp)
     lens = g.degrees[nodes]
-    return g.indices_intp[_expand(g.indptr[nodes], lens)], nodes.repeat(lens)
+    return g.indices_intp[_expand(g.indptr[1:][nodes], lens)], nodes.repeat(lens)
 
 
 def grid_index(rows: int, cols: int, r: int, c: int) -> int:
@@ -190,14 +190,14 @@ def _rgg(spec: RandomGeometric) -> Graph:
         start.append(np.searchsorted(cell, cell + offset, "left"))
         stop.append(np.searchsorted(cell, cell + offset, "right"))
     first = np.tile(np.arange(n), 5)
-    start = np.concatenate(start)
-    lens = np.concatenate(stop) - start
+    stop = np.concatenate(stop)
+    lens = stop - np.concatenate(start)
     pieces = []
     block = max(1, 2**22 // max(int(lens.max()), 1))  # <= 2**22 candidates per block
     for i in range(0, lens.size, block):
         part = slice(i, i + block)
         a = order[np.repeat(first[part], lens[part])]
-        b = order[_expand(start[part], lens[part])]
+        b = order[_expand(stop[part], lens[part])]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         dx = x[lo] - x[hi]
         dy = y[lo] - y[hi]

@@ -228,11 +228,11 @@ def test_loop_choice_by_spec(monkeypatch):
     g = line_graph(4)
     with monkeypatch.context() as m:
         m.setattr(engine, "_keyed_rounds", None)
-        for spec in (FLOODING, Gossip1(0.5, 1), Gossip4(0.5, 1, 2), Gossip3(0.5, 1, 0, 2)):
+        for spec in (FLOODING, Gossip1(0.5, 1), Gossip4(0.5, 1, 2), Gossip3(0.5, 1, 0, 2),
+                     Gossip2(0.5, 1, 0.9, 3)):
             run_execution(g, 0, spec, 3)
     monkeypatch.setattr(engine, "_lean_rounds", None)
-    for spec in (Gossip2(0.5, 1, 0.9, 3), Gossip3(0.5, 1, 1, 2)):
-        run_execution(g, 0, spec, 3)
+    run_execution(g, 0, Gossip3(0.5, 1, 1, 2), 3)
 
 
 def test_lean_loop_extremes_match_keyed_loop():
@@ -243,6 +243,13 @@ def test_lean_loop_extremes_match_keyed_loop():
     cases = [(single, 0, spec) for spec in (FLOODING, Gossip1(0.0, 0), Gossip1(0.5, 0), Gossip1(1.0, 0))]
     cases += [(isolated, 0, FLOODING), (isolated, 0, Gossip1(0.5, 0)), (isolated, 1, Gossip4(0.3, 0, 1))]
     cases += [(g, 0, Gossip1(p, k)) for p in (0.0, 1.0) for k in (0, 1, 3)]
+    # gossip2: no sender boosts (n_thresh 1), every sender boosts (above the
+    # maximum degree), p1 == p2, p1 = 0 with p2 = 1, k = 0, a degree-0 source
+    top = int(g.degrees.max()) + 1
+    cases += [(g, 0, Gossip2(0.3, 1, 0.8, 1)), (g, 0, Gossip2(0.3, 1, 0.8, top)),
+              (g, 0, Gossip2(0.5, 1, 0.5, 4)), (g, 0, Gossip2(0.0, 1, 1.0, 4)),
+              (g, 0, Gossip2(0.4, 0, 0.9, 4)), (isolated, 0, Gossip2(0.4, 0, 0.9, 4)),
+              (isolated, 0, Gossip2(0.2, 1, 0.7, 2))]
     for graph, source, spec in cases:
         for seed in range(20):
             lean = run_execution(graph, source, spec, seed)
@@ -255,9 +262,28 @@ def test_lean_loop_extremes_match_keyed_loop():
     assert tr.broadcast_count == 1 and tr.received.sum() == 1
     # k = 0 and a closed source: nothing is sent
     seed = next(s for s in range(100) if unit_uniforms(s, np.arange(g.n))[0] >= 0.5)
-    tr = run_execution(g, 0, Gossip1(0.5, 0), seed)
-    assert tr.broadcast_count == 0 and tr.received.sum() == 1
-    assert tr.same_outcome(keyed_execution(g, 0, Gossip1(0.5, 0), seed))
+    for spec in (Gossip1(0.5, 0), Gossip2(0.5, 0, 0.5, top)):
+        tr = run_execution(g, 0, spec, seed)
+        assert tr.broadcast_count == 0 and tr.received.sum() == 1
+        assert tr.same_outcome(keyed_execution(g, 0, spec, seed))
+
+
+@pytest.mark.parametrize("spec", [FLOODING, Gossip1(0.6, 1), Gossip2(0.4, 1, 0.9, 4), Gossip3(0.5, 1, 0, 2),
+                                  Gossip3(0.3, 1, 1, 2), Gossip3(0.0, 0, 2, 1), Gossip4(0.6, 1, 2)])
+def test_gather_calls_match_send_rounds(monkeypatch, spec):
+    # the tracer's recount: one engine gather call per distinct send round,
+    # where a timeout forward sends timeout_rounds + 1 rounds after receipt
+    g = random_graph(40, 0.1, 17)
+    calls = []
+    gather = engine.gather_neighbors
+    monkeypatch.setattr(engine, "gather_neighbors", lambda *a: calls.append(1) or gather(*a))
+    for seed in range(15):
+        calls.clear()
+        tr = run_execution(g, seed % 7, spec, seed)
+        fwd = tr.forwarded
+        send_round = tr.receive_round[fwd].astype(np.int64)
+        send_round[tr.timeout_forward[fwd]] += getattr(spec, "timeout_rounds", 0) + 1
+        assert len(calls) == np.unique(send_round).size, (spec, seed)
 
 
 def test_lean_loop_long_path_under_flooding(monkeypatch):

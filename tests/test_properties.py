@@ -87,17 +87,23 @@ def test_trace_invariants(params, spec, seed):
     st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.4]),  # sparse draws leave isolated nodes
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=4),
-    st.sampled_from(["gossip1", "flooding", "gossip4", "gossip3 m=0"]),
+    st.sampled_from(["gossip1", "flooding", "gossip4", "gossip3 m=0", "gossip2", "gossip3 m>0"]),
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=0, max_value=10**9),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=1, max_value=6),
 )
-def test_lean_loop_matches_keyed_loop(n, gseed, prob, p, k, kind, src, seed):
+def test_lean_loop_matches_keyed_loop(n, gseed, prob, p, k, kind, src, seed, q, small):
+    # every loop of the engine against the reference key-based loop; gossip2
+    # draws p1 <= p2 and n_thresh 1-6, so some senders boost and some do not
     g = random_graph(n, prob, gseed)
     spec = {
         "gossip1": Gossip1(p, k),
         "flooding": FLOODING,
         "gossip4": Gossip4(p, k, 2),
         "gossip3 m=0": Gossip3(p, k, 0, 2),
+        "gossip2": Gossip2(min(p, q), k, max(p, q), small),
+        "gossip3 m>0": Gossip3(p, k, 1 + small % 3, small),
     }[kind]
     source = src % n
     lean = run_execution(g, source, spec, seed)
