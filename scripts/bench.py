@@ -15,11 +15,12 @@ record with its return code and the tail of its stderr, listed under
 `failed_runs`, and left out of the metrics and of the pairs; the script then
 writes the record and exits 1.
 
-After the pairs, each side runs every workload once more traced
-(`--trace 1 --seconds 5 --seed 1`); the record keeps, under `traced`, that
-run's checks, its exact engine counts and the layer metrics named in
-TRACED_METRICS, and whether both sides' engine counts are equal (a traced
-run that fails is kept like a failed untimed run).
+After the pairs, each side runs every workload TRACED_RUNS more times
+traced (`--trace 1 --seconds 5`, seeds 1 .. TRACED_RUNS, alternating which
+side goes first); the record keeps, under `traced`, every run's checks and
+exact engine counts, the median and quartiles of each layer metric named in
+TRACED_METRICS, and whether both sides' engine counts are equal seed by seed
+(a traced run that fails is kept like a failed untimed run).
 """
 
 import argparse
@@ -32,6 +33,7 @@ from pathlib import Path
 
 SEED = 1  # seed of round 0; round i uses SEED + i
 TRACED_SECONDS = 5
+TRACED_RUNS = 3  # per side and workload; a layer delta is a median, not one sample
 TRACED_METRICS = ("engine.us_per_round", "engine.self_s", "topology.gather_s")
 
 
@@ -59,18 +61,26 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return result
 
 
-def traced_summary(result: dict) -> dict:
-    """What the record keeps of a traced run: checks, engine counts, TRACED_METRICS."""
-    if "metrics" not in result:
-        return result
-    kept = {m: result["metrics"][m]["value"] for m in TRACED_METRICS if m in result["metrics"]}
-    return {"correct": result["correct"], "checks": result.get("checks"),
-            "engine_counts": result.get("engine_counts"), **kept}
-
-
 def spread(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def traced_summary(results: list) -> dict:
+    """What the record keeps of one side's traced runs (seed order): each run's
+    checks and engine counts (a failed run as run_once returned it), and the
+    spread of each TRACED_METRICS entry over the runs that finished."""
+    done = [r for r in results if "metrics" in r]
+    runs = []
+    for j, r in enumerate(results):
+        kept = {k: r.get(k) for k in ("correct", "checks", "engine_counts")} if "metrics" in r else r
+        runs.append({"seed": SEED + j, **kept})
+    summary = {"correct": sum(r["correct"] for r in done), "runs": runs}
+    for m in TRACED_METRICS:
+        values = [r["metrics"][m]["value"] for r in done if m in r["metrics"]]
+        if values:
+            summary[m] = spread(values)
+    return summary
 
 
 def main(argv=None) -> int:
@@ -101,7 +111,8 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "seconds": seconds,
         "seeds": [SEED, SEED + args.rounds - 1],
-        "traced_command": f"perfbench/run.py --trace 1 --seconds {TRACED_SECONDS} --seed {SEED}",
+        "traced_command": f"perfbench/run.py --trace 1 --seconds {TRACED_SECONDS}",
+        "traced_seeds": [SEED, SEED + TRACED_RUNS - 1],
         "nproc": os.cpu_count(),
         "workloads": {},
     }
@@ -129,11 +140,16 @@ def main(argv=None) -> int:
             entry["median_change_over_parent"] = {
                 m: entry["change"][m]["median"] / entry["parent"][m]["median"] for m in metrics
             }
-        entry["traced"] = {side: traced_summary(run_once(path, workload, SEED, TRACED_SECONDS, trace=1))
-                           for side, path in sides.items()}
-        any_failed |= any("returncode" in t for t in entry["traced"].values())
-        counts = [t.get("engine_counts") for t in entry["traced"].values()]
-        entry["traced_engine_counts_equal"] = counts[0] is not None and counts[0] == counts[1]
+        traced = {side: [] for side in sides}
+        for j in range(TRACED_RUNS):
+            for side in list(sides) if j % 2 == 0 else list(sides)[::-1]:
+                traced[side].append(run_once(sides[side], workload, SEED + j, TRACED_SECONDS, trace=1))
+        any_failed |= any("metrics" not in r for runs_ in traced.values() for r in runs_)
+        entry["traced"] = {side: traced_summary(runs_) for side, runs_ in traced.items()}
+        entry["traced_engine_counts_equal"] = all(
+            p.get("engine_counts") is not None and p.get("engine_counts") == c.get("engine_counts")
+            for p, c in zip(traced["parent"], traced["change"])
+        )
         record["workloads"][workload] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 1 if any_failed else 0

@@ -9,7 +9,6 @@ from .protocols import (
     Gossip4,
     ProtocolSpec,
     protocol_name,
-    validate_protocol,
 )
 from .topology import (
     UNREACHABLE,
@@ -51,7 +50,6 @@ __all__ = [
     "protocol_name",
     "run_execution",
     "save_edgelist",
-    "validate_protocol",
 ]
 
 __version__ = "0.1.0"

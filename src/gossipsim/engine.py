@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .protocols import Gossip2, Gossip3, ProtocolSpec, validate_protocol
+from .protocols import Gossip2, Gossip3, ProtocolSpec
 from .rng import child_seed, unit_uniforms
 from .textio import write_rows
 from .topology import Graph, gather_neighbors
@@ -88,7 +88,6 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
 
 
 def _execute(g: Graph, source: int, spec: ProtocolSpec, seed: int, loop) -> ExecutionTrace:
-    validate_protocol(spec)
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} outside graph of size {g.n}")
     draws = unit_uniforms(seed, np.arange(g.n, dtype=np.int64))

@@ -32,7 +32,6 @@ from .protocols import (
     Gossip4,
     ProtocolSpec,
     protocol_name,
-    validate_protocol,
 )
 from .rng import child_seed
 from .routing import discover_route, query_for, route_results_to_csv, zone_ball
@@ -66,6 +65,10 @@ class SourcePlacement:
     kind: str  # left_row | center_row | node | random
     value: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("left_row", "center_row", "node", "random"):
+            raise ValueError(f"unknown source kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -85,6 +88,45 @@ class ExperimentConfig:
     p_sweep: Optional[tuple[float, ...]] = None
     sweep_k: Optional[int] = None
 
+    def __post_init__(self):
+        """Every check that needs no graph, so a config in hand is valid."""
+        if not self.name:
+            raise ConfigError("name must be non-empty")
+        for key in ("runs", "route_distance", "route_queries", "route_attempts"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if not 0.0 < self.extinction_threshold < 1.0:
+            raise ConfigError("extinction_threshold must be in (0, 1)")
+        unknown = self.metrics - KNOWN_METRICS
+        if unknown:
+            raise ConfigError(f"unknown metrics: {sorted(unknown)}")
+        if self.band is not None and not 0 <= self.band[0] <= self.band[1]:
+            raise ConfigError(f"band must be 0 <= lo <= hi, got {self.band}")
+        needs_band = self.metrics & {"bimodal", "theta"}
+        if needs_band and self.band is None:
+            raise ConfigError(f"metrics {sorted(needs_band)} require a band")
+        if "zone_coverage" in self.metrics and not isinstance(self.protocol, Gossip4):
+            raise ConfigError("zone_coverage metric requires a gossip4 protocol")
+        if (self.p_sweep is None) != (self.sweep_k is None):
+            raise ConfigError("p_sweep and sweep_k go together")
+        if self.p_sweep is not None:
+            if not self.p_sweep:
+                raise ConfigError("p_sweep must be non-empty")
+            if any(not 0.0 <= v <= 1.0 for v in self.p_sweep):
+                raise ConfigError("p_sweep probabilities must be in [0, 1]")
+            if list(self.p_sweep) != sorted(self.p_sweep):
+                raise ConfigError("p_sweep must be ascending")
+            if self.sweep_k < 0:
+                raise ConfigError("sweep_k must be >= 0")
+            if self.protocol is not None:
+                raise ConfigError("a p_sweep runs gossip1(p, sweep_k); it takes no protocol")
+            if self.metrics - {"theta"}:
+                raise ConfigError("a p_sweep computes only the theta metric")
+            if self.band is None:
+                raise ConfigError("p_sweep requires a band")
+        elif self.metrics and self.protocol is None:
+            raise ConfigError("metrics require a protocol (or a p_sweep)")
+
 
 @dataclass
 class ResultSet:
@@ -101,46 +143,40 @@ class ResultSet:
         return os.path.join(self.out_dir, "manifest.json")
 
 
+# The value parsers read a value's shape; the specs they build check its
+# ranges.  A ValueError from either is reported as a bad value of the key.
+
+
 def _parse_topology(text: str) -> TopologySpec:
     parts = text.split() or [""]  # an empty value matches no kind
-    try:
-        if parts[0] == "grid" and len(parts) == 3:
-            return Grid(int(parts[1]), int(parts[2]))
-        if parts[0] in ("mesh3", "mesh6") and len(parts) == 3:
-            return RegularMesh(int(parts[0][-1]), int(parts[1]), int(parts[2]))
-        if parts[0] == "rgg" and len(parts) == 6:
-            return RandomGeometric(
-                int(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]), int(parts[5])
-            )
-    except ValueError as exc:
-        raise ConfigError(f"bad topology value: {text!r} ({exc})") from None
+    if parts[0] == "grid" and len(parts) == 3:
+        return Grid(int(parts[1]), int(parts[2]))
+    if parts[0] in ("mesh3", "mesh6") and len(parts) == 3:
+        return RegularMesh(int(parts[0][-1]), int(parts[1]), int(parts[2]))
+    if parts[0] == "rgg" and len(parts) == 6:
+        return RandomGeometric(int(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]), int(parts[5]))
     raise ConfigError(f"bad topology value: {text!r}")
 
 
 def _parse_protocol(text: str) -> ProtocolSpec:
     parts = text.split() or [""]
-    try:
-        if parts[0] == "flooding" and len(parts) == 1:
-            return FLOODING
-        if parts[0] == "gossip1" and len(parts) == 3:
-            return Gossip1(float(parts[1]), int(parts[2]))
-        if parts[0] == "gossip2" and len(parts) == 5:
-            return Gossip2(float(parts[1]), int(parts[2]), float(parts[3]), int(parts[4]))
-        if parts[0] == "gossip3" and len(parts) in (4, 5):  # the timeout is optional
-            return Gossip3(float(parts[1]), int(parts[2]), *(int(v) for v in parts[3:]))
-        if parts[0] == "gossip4" and len(parts) == 4:
-            return Gossip4(float(parts[1]), int(parts[2]), int(parts[3]))
-    except ValueError as exc:
-        raise ConfigError(f"bad protocol value: {text!r} ({exc})") from None
+    if parts[0] == "flooding" and len(parts) == 1:
+        return FLOODING
+    if parts[0] == "gossip1" and len(parts) == 3:
+        return Gossip1(float(parts[1]), int(parts[2]))
+    if parts[0] == "gossip2" and len(parts) == 5:
+        return Gossip2(float(parts[1]), int(parts[2]), float(parts[3]), int(parts[4]))
+    if parts[0] == "gossip3" and len(parts) in (4, 5):  # the timeout is optional
+        return Gossip3(float(parts[1]), int(parts[2]), *(int(v) for v in parts[3:]))
+    if parts[0] == "gossip4" and len(parts) == 4:
+        return Gossip4(float(parts[1]), int(parts[2]), int(parts[3]))
     raise ConfigError(f"bad protocol value: {text!r}")
 
 
 def _parse_source(text: str) -> SourcePlacement:
     parts = text.split() or [""]
-    if parts[0] in ("left_row", "center_row", "node") and len(parts) == 2:
-        return SourcePlacement(parts[0], int(parts[1]))
-    if parts[0] == "random" and len(parts) == 1:
-        return SourcePlacement("random")
+    if len(parts) == (1 if parts[0] == "random" else 2):
+        return SourcePlacement(parts[0], *(int(v) for v in parts[1:]))
     raise ConfigError(f"bad source value: {text!r}")
 
 
@@ -148,29 +184,7 @@ def _parse_band(text: str) -> tuple[int, int]:
     parts = text.split()
     if len(parts) != 2:
         raise ConfigError(f"bad band value: {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
-    if lo < 0 or lo > hi:
-        raise ConfigError(f"bad band value: {text!r}")
-    return lo, hi
-
-
-def _parse_sweep(text: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in text.split())
-    if not values:
-        raise ConfigError("p_sweep must be non-empty")
-    if any(not 0.0 <= v <= 1.0 for v in values):
-        raise ConfigError("p_sweep probabilities must be in [0, 1]")
-    if list(values) != sorted(values):
-        raise ConfigError("p_sweep must be ascending")
-    return values
-
-
-def _parse_metrics(text: str) -> frozenset[str]:
-    metric_set = frozenset(text.split())
-    unknown = metric_set - KNOWN_METRICS
-    if unknown:
-        raise ConfigError(f"unknown metrics: {sorted(unknown)}")
-    return metric_set
+    return int(parts[0]), int(parts[1])
 
 
 # config key -> parser of its value; every key but schema_version is the
@@ -184,13 +198,13 @@ _KEYS: dict[str, Callable[[str], object]] = {
     "runs": int,
     "base_seed": int,
     "band": _parse_band,
-    "metrics": _parse_metrics,
+    "metrics": lambda text: frozenset(text.split()),
     "extinction_threshold": float,
     "route_distance": int,
     "route_attempts": int,
     "route_queries": int,
     "route_min_distance": int,
-    "p_sweep": _parse_sweep,
+    "p_sweep": lambda text: tuple(float(v) for v in text.split()),
     "sweep_k": int,
 }
 
@@ -228,9 +242,7 @@ def parse_config_text(text: str, default_name: str = "experiment") -> Experiment
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
     fields = {key: _parse_value(key, value) for key, value in raw.items()}
-    cfg = ExperimentConfig(**{"name": default_name, **fields})
-    _validate_config(cfg)
-    return cfg
+    return ExperimentConfig(**{"name": default_name, **fields})
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -238,37 +250,6 @@ def parse_config(path: str) -> ExperimentConfig:
         text = f.read()
     default = os.path.splitext(os.path.basename(path))[0]
     return parse_config_text(text, default_name=default)
-
-
-def _validate_config(cfg: ExperimentConfig) -> None:
-    if not cfg.name:
-        raise ConfigError("name must be non-empty")
-    for key in ("runs", "route_distance", "route_queries", "route_attempts"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if cfg.protocol is not None:
-        try:
-            validate_protocol(cfg.protocol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if not 0.0 < cfg.extinction_threshold < 1.0:
-        raise ConfigError("extinction_threshold must be in (0, 1)")
-    needs_band = cfg.metrics & {"bimodal", "theta"}
-    if needs_band and cfg.band is None:
-        raise ConfigError(f"metrics {sorted(needs_band)} require a band")
-    if "zone_coverage" in cfg.metrics and not isinstance(cfg.protocol, Gossip4):
-        raise ConfigError("zone_coverage metric requires a gossip4 protocol")
-    if (cfg.p_sweep is None) != (cfg.sweep_k is None):
-        raise ConfigError("p_sweep and sweep_k go together")
-    if cfg.p_sweep is not None:
-        if cfg.protocol is not None:
-            raise ConfigError("a p_sweep runs gossip1(p, sweep_k); it takes no protocol")
-        if cfg.metrics - {"theta"}:
-            raise ConfigError("a p_sweep computes only the theta metric")
-        if cfg.band is None:
-            raise ConfigError("p_sweep requires a band")
-    elif cfg.metrics and cfg.protocol is None:
-        raise ConfigError("metrics require a protocol (or a p_sweep)")
 
 
 def resolve_source(cfg: ExperimentConfig, g: Graph) -> int:

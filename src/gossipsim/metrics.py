@@ -81,7 +81,6 @@ class ThetaEstimate:
     theta_S: float
     ci: tuple[float, float]
     theta_R: Optional[float]
-    theta_R_ci: Optional[tuple[float, float]]
     runs: int
     survivors: int
     extinction_threshold: float
@@ -188,21 +187,10 @@ class CoverageAccumulator(_Consumer):
         cov = np.array(self.coverages)
         surv = cov >= extinction_threshold
         k = int(surv.sum())
-        ci = wilson_interval(k, cov.size)
-        if k > 0:
-            mean_r = float(cov[surv].mean())
-            if k > 1:
-                half = 1.96 * float(cov[surv].std(ddof=1)) / math.sqrt(k)
-            else:
-                half = 0.0
-            r_ci = (max(0.0, mean_r - half), min(1.0, mean_r + half))
-        else:
-            mean_r, r_ci = None, None
         return ThetaEstimate(
             theta_S=k / cov.size,
-            ci=ci,
-            theta_R=mean_r,
-            theta_R_ci=r_ci,
+            ci=wilson_interval(k, cov.size),
+            theta_R=float(cov[surv].mean()) if k else None,
             runs=cov.size,
             survivors=k,
             extinction_threshold=extinction_threshold,

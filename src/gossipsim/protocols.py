@@ -13,6 +13,9 @@ the source gossips probabilistically.
   Gossip4(p, k, zone_radius)     -- forwards like Gossip1; nodes know routes
                                     within `zone_radius` hops, which widens
                                     delivery (see metrics / route discovery).
+
+Each spec checks its parameters when it is built and raises ValueError on
+one out of range, so every spec in hand is valid.
 """
 
 from __future__ import annotations
@@ -21,10 +24,24 @@ from dataclasses import dataclass
 from typing import Union
 
 
+def _check_prob(value: float, name: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ValueError("k must be non-negative")
+
+
 @dataclass(frozen=True)
 class Gossip1:
     p: float
     k: int
+
+    def __post_init__(self):
+        _check_prob(self.p, "p")
+        _check_k(self.k)
 
 
 @dataclass(frozen=True)
@@ -34,6 +51,15 @@ class Gossip2:
     p2: float
     n_thresh: int
 
+    def __post_init__(self):
+        _check_prob(self.p1, "p1")
+        _check_prob(self.p2, "p2")
+        if self.p2 < self.p1:
+            raise ValueError("p2 must be >= p1")
+        if self.n_thresh < 1:
+            raise ValueError("n_thresh must be positive")
+        _check_k(self.k)
+
 
 @dataclass(frozen=True)
 class Gossip3:
@@ -42,6 +68,14 @@ class Gossip3:
     m: int
     timeout_rounds: int = 2
 
+    def __post_init__(self):
+        _check_prob(self.p, "p")
+        if self.m < 0:
+            raise ValueError("m must be non-negative")
+        if self.timeout_rounds < 1:
+            raise ValueError("timeout_rounds must be positive")
+        _check_k(self.k)
+
 
 @dataclass(frozen=True)
 class Gossip4:
@@ -49,42 +83,16 @@ class Gossip4:
     k: int
     zone_radius: int
 
+    def __post_init__(self):
+        _check_prob(self.p, "p")
+        if self.zone_radius < 0:
+            raise ValueError("zone_radius must be non-negative")
+        _check_k(self.k)
+
 
 ProtocolSpec = Union[Gossip1, Gossip2, Gossip3, Gossip4]
 
 FLOODING = Gossip1(p=1.0, k=1)
-
-
-def _check_prob(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-def validate_protocol(spec: ProtocolSpec) -> None:
-    """Raise ValueError on out-of-range parameters."""
-    if isinstance(spec, Gossip1):
-        _check_prob(spec.p, "p")
-    elif isinstance(spec, Gossip2):
-        _check_prob(spec.p1, "p1")
-        _check_prob(spec.p2, "p2")
-        if spec.p2 < spec.p1:
-            raise ValueError("p2 must be >= p1")
-        if spec.n_thresh < 1:
-            raise ValueError("n_thresh must be positive")
-    elif isinstance(spec, Gossip3):
-        _check_prob(spec.p, "p")
-        if spec.m < 0:
-            raise ValueError("m must be non-negative")
-        if spec.timeout_rounds < 1:
-            raise ValueError("timeout_rounds must be positive")
-    elif isinstance(spec, Gossip4):
-        _check_prob(spec.p, "p")
-        if spec.zone_radius < 0:
-            raise ValueError("zone_radius must be non-negative")
-    else:
-        raise TypeError(f"unknown protocol spec: {spec!r}")
-    if spec.k < 0:
-        raise ValueError("k must be non-negative")
 
 
 def protocol_name(spec: ProtocolSpec) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .engine import run_execution
-from .protocols import Gossip4, ProtocolSpec, validate_protocol
+from .protocols import Gossip4, ProtocolSpec
 from .rng import child_seed
 from .textio import write_rows
 from .topology import UNREACHABLE, DistanceMap, Graph, ball_distances, hop_distances
@@ -25,16 +25,17 @@ class RouteQuery:
     dest: int
     protocol: ProtocolSpec
     max_attempts: int = 1
-    zone_radius: int = 0
 
     def __post_init__(self):
         if self.source == self.dest:
             raise ValueError("source and destination must differ")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.zone_radius < 0:
-            raise ValueError("zone_radius must be non-negative")
-        validate_protocol(self.protocol)
+
+    @property
+    def zone_radius(self) -> int:
+        """The protocol's zone radius for gossip4, else 0."""
+        return self.protocol.zone_radius if isinstance(self.protocol, Gossip4) else 0
 
 
 @dataclass
@@ -47,9 +48,8 @@ class RouteResult:
 
 
 def query_for(g: Graph, source: int, dest: int, protocol: ProtocolSpec, max_attempts: int = 1) -> RouteQuery:
-    """RouteQuery with the zone radius taken from the protocol when it has one."""
-    zone = protocol.zone_radius if isinstance(protocol, Gossip4) else 0
-    return RouteQuery(source=source, dest=dest, protocol=protocol, max_attempts=max_attempts, zone_radius=zone)
+    """The RouteQuery from `source` to `dest` (`g` is not read)."""
+    return RouteQuery(source=source, dest=dest, protocol=protocol, max_attempts=max_attempts)
 
 
 def zone_ball(g: Graph, q: RouteQuery) -> tuple:

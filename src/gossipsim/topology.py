@@ -1,7 +1,9 @@
 """Network topologies: grids, regular meshes, and random geometric graphs.
 
-Graphs are immutable once built: CSR adjacency with sorted, duplicate-free
-neighbor lists, plus optional 2D coordinates (meters) for geometric graphs.
+A spec checks its sizes when it is built (ValueError), so `build_topology`
+only dispatches.  Graphs are immutable once built: CSR adjacency with sorted,
+duplicate-free neighbor lists, plus optional 2D coordinates (meters) for
+geometric graphs.
 
 Mesh constructions (each regular away from the boundary):
   degree 4 -- plain grid, node (r, c) adjacent to (r+-1, c) and (r, c+-1);
@@ -28,12 +30,22 @@ class Grid:
     rows: int
     cols: int
 
+    def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("grid dimensions must be positive")
+
 
 @dataclass(frozen=True)
 class RegularMesh:
     degree: int  # 3 or 6; degree 4 is Grid
     rows: int
     cols: int
+
+    def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("mesh dimensions must be positive")
+        if self.degree not in (3, 6):
+            raise ValueError("mesh degree must be 3 or 6 (degree 4 is Grid)")
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,12 @@ class RandomGeometric:
     height: float
     radius: float
     seed: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("node count must be positive")
+        if not (self.width > 0 and self.height > 0 and self.radius > 0):  # NaN fails too
+            raise ValueError("region dimensions and radius must be positive")
 
 
 TopologySpec = Union[Grid, RegularMesh, RandomGeometric]
@@ -209,22 +227,11 @@ def _rgg(spec: RandomGeometric) -> Graph:
 def build_topology(spec: TopologySpec) -> Graph:
     """Construct the graph described by `spec` (same spec, same graph)."""
     if isinstance(spec, Grid):
-        if spec.rows < 1 or spec.cols < 1:
-            raise ValueError("grid dimensions must be positive")
         return Graph(spec.rows * spec.cols, _grid_edges(spec.rows, spec.cols))
     if isinstance(spec, RegularMesh):
-        if spec.rows < 1 or spec.cols < 1:
-            raise ValueError("mesh dimensions must be positive")
-        if spec.degree == 6:
-            return Graph(spec.rows * spec.cols, _mesh6_edges(spec.rows, spec.cols))
-        if spec.degree == 3:
-            return Graph(spec.rows * spec.cols, _mesh3_edges(spec.rows, spec.cols))
-        raise ValueError("mesh degree must be 3 or 6 (degree 4 is Grid)")
+        edges = _mesh6_edges if spec.degree == 6 else _mesh3_edges
+        return Graph(spec.rows * spec.cols, edges(spec.rows, spec.cols))
     if isinstance(spec, RandomGeometric):
-        if spec.n < 1:
-            raise ValueError("node count must be positive")
-        if spec.width <= 0 or spec.height <= 0 or spec.radius <= 0:
-            raise ValueError("region dimensions and radius must be positive")
         return _rgg(spec)
     raise TypeError(f"unknown topology spec: {spec!r}")
 

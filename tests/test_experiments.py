@@ -398,6 +398,9 @@ def test_cli_empty_name_fails_before_any_work(tmp_path, capsys, monkeypatch):
         ("runs: 40", "runs: abc", "runs"),
         ("base_seed: 99", "base_seed: 9.5", "base_seed"),
         ("runs: 40", "runs: 40\nextinction_threshold: half", "extinction_threshold"),
+        # a spec's own range check fails inside the value parser
+        ("topology: grid 8 12", "topology: grid 0 12", "topology"),
+        ("protocol: gossip1 0.7 2", "protocol: gossip1 1.7 2", "protocol"),
     ],
 )
 def test_bad_number_names_its_key(tmp_path, capsys, old, new, key):
@@ -416,12 +419,47 @@ def test_cli_sweep_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SWEEP)
     out = tmp_path / "sw"
-    assert cli_main(["sweep", str(cfg_path), "--out", str(out)]) == 0
-    assert (out / "theta_curve.csv").exists()
-    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
-    assert (tmp_path / "run" / "theta_curve.csv").read_bytes() == (out / "theta_curve.csv").read_bytes()
+    assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 0
+    sweep_probability(parse_config_text(SWEEP), out_dir=str(tmp_path / "lib"))
+    assert (out / "theta_curve.csv").read_bytes() == (tmp_path / "lib" / "theta_curve.csv").read_bytes()
     assert cli_main(["report", str(out), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+
+
+def test_cli_runs_override_is_checked(tmp_path, capsys):
+    # a route_discovery-only config runs no batch, so only the config check sees runs
+    text = TINY.replace("metrics: bimodal profile overhead", "metrics: route_discovery")
+    cfg_path = tmp_path / "route.cfg"
+    cfg_path.write_text(text + "route_distance: 5\nroute_queries: 5\n")
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--runs", "-7"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "runs must be >= 1"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_replace_checks_the_config():
+    cfg = parse_config_text(TINY)
+    for change in (
+        {"runs": 0},
+        {"route_attempts": 0},
+        {"name": ""},
+        {"band": (8, 2)},
+        {"metrics": frozenset({"bogus"})},
+        {"protocol": None},  # metrics without a protocol
+    ):
+        with pytest.raises(ConfigError):
+            replace(cfg, **change)
+    sweep = parse_config_text(SWEEP)
+    for change in ({"p_sweep": (0.75, 0.55)}, {"p_sweep": ()}, {"sweep_k": -1}, {"sweep_k": None}):
+        with pytest.raises(ConfigError):
+            replace(sweep, **change)
+    with pytest.raises(ValueError):
+        SourcePlacement("top_row", 4)
+
+
+def test_negative_sweep_k_rejected_at_parse():
+    with pytest.raises(ConfigError, match="^sweep_k must be >= 0$"):
+        parse_config_text(SWEEP.replace("sweep_k: 2", "sweep_k: -1"))
 
 
 # SHA-256 of every file each canned config writes with runs=3 and

@@ -7,7 +7,6 @@ from gossipsim import (
     Gossip3,
     Gossip4,
     protocol_name,
-    validate_protocol,
 )
 
 
@@ -16,26 +15,28 @@ def test_flooding_alias():
     assert protocol_name(FLOODING) == "flooding"
 
 
+# (class, args): a spec checks itself when it is built, so a bad one cannot exist
 @pytest.mark.parametrize(
     "spec",
     [
-        Gossip1(1.2, 1),
-        Gossip1(-0.1, 1),
-        Gossip1(0.5, -1),
-        Gossip2(0.8, 4, 0.6, 6),   # p2 < p1
-        Gossip2(0.5, 4, 0.9, 0),   # n_thresh < 1
-        Gossip3(0.5, 4, -1, 2),
-        Gossip3(0.5, 4, 1, 0),
-        Gossip4(0.5, 4, -1),
+        (Gossip1, (1.2, 1)),
+        (Gossip1, (-0.1, 1)),
+        (Gossip1, (0.5, -1)),
+        (Gossip2, (0.8, 4, 0.6, 6)),   # p2 < p1
+        (Gossip2, (0.5, 4, 0.9, 0)),   # n_thresh < 1
+        (Gossip3, (0.5, 4, -1, 2)),
+        (Gossip3, (0.5, 4, 1, 0)),
+        (Gossip4, (0.5, 4, -1)),
     ],
 )
 def test_validate_rejects_bad_parameters(spec):
+    cls, args = spec
     with pytest.raises(ValueError):
-        validate_protocol(spec)
+        cls(*args)
 
 
 def test_validate_accepts_degenerate_gossip3():
-    validate_protocol(Gossip3(0.5, 4, 0, 2))  # m = 0 degenerates to Gossip1
+    Gossip3(0.5, 4, 0, 2)  # m = 0 degenerates to Gossip1
 
 
 def test_protocol_names():

@@ -26,8 +26,6 @@ def test_query_validation():
         RouteQuery(source=1, dest=1, protocol=FLOODING)
     with pytest.raises(ValueError):
         RouteQuery(source=0, dest=1, protocol=FLOODING, max_attempts=0)
-    with pytest.raises(ValueError):
-        RouteQuery(source=0, dest=1, protocol=FLOODING, zone_radius=-1)
     q = query_for(None, 0, 1, Gossip4(0.6, 1, 3))
     assert q.zone_radius == 3
 
@@ -67,12 +65,12 @@ def test_zone_delivery_route_length():
     # path 0-1-2-3-4; only node 1 receives (p=0, k=1); zone radius 3 reaches
     # the destination 4 through nodes 2 and 3.
     g = line_graph(5)
-    q = RouteQuery(source=0, dest=4, protocol=Gossip1(0.0, 1), zone_radius=3)
+    q = RouteQuery(source=0, dest=4, protocol=Gossip4(0.0, 1, 3))
     r = discover_route(g, q, 9)
     assert r.found
     assert r.route_length == 1 + 3  # receiver hop 1, zone leg 3
     assert r.shortest_length == 4
-    q0 = RouteQuery(source=0, dest=4, protocol=Gossip1(0.0, 1), zone_radius=2)
+    q0 = RouteQuery(source=0, dest=4, protocol=Gossip4(0.0, 1, 2))
     assert not discover_route(g, q0, 9).found
 
 

@@ -326,21 +326,23 @@ def test_edge_list_roundtrip_no_coords(tmp_path):
     assert np.array_equal(g2.indices, g.indices) and g2.coords is None
 
 
+# (class, args): a spec checks itself when it is built, so a bad one cannot exist
 @pytest.mark.parametrize(
     "spec",
     [
-        Grid(0, 5),
-        Grid(5, 0),
-        RegularMesh(4, 5, 5),
-        RegularMesh(7, 5, 5),
-        RandomGeometric(0, 10, 10, 1, 1),
-        RandomGeometric(10, -1, 10, 1, 1),
-        RandomGeometric(10, 10, 10, 0, 1),
+        (Grid, (0, 5)),
+        (Grid, (5, 0)),
+        (RegularMesh, (4, 5, 5)),
+        (RegularMesh, (7, 5, 5)),
+        (RandomGeometric, (0, 10, 10, 1, 1)),
+        (RandomGeometric, (10, -1, 10, 1, 1)),
+        (RandomGeometric, (10, 10, 10, 0, 1)),
     ],
 )
 def test_invalid_specs_rejected(spec):
+    cls, args = spec
     with pytest.raises(ValueError):
-        build_topology(spec)
+        cls(*args)
 
 
 def test_graph_rejects_self_loops_and_duplicates():
