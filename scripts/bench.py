@@ -21,6 +21,10 @@ side goes first); the record keeps, under `traced`, every run's checks and
 exact engine counts, the median and quartiles of each layer metric named in
 TRACED_METRICS, and whether both sides' engine counts are equal seed by seed
 (a traced run that fails is kept like a failed untimed run).
+
+The record names each side's commit under `checkouts`: `git rev-parse HEAD`
+and whether `git status --porcelain` lists anything, or null when the
+directory is not the top of a git checkout.
 """
 
 import argparse
@@ -59,6 +63,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         elif tag == "engine_counts":
             result["engine_counts"] = json.loads(rest)
     return result
+
+
+def checkout_state(checkout: Path):
+    """{"commit", "dirty"} of the git checkout at `checkout`, else None."""
+    git = ["git", "-C", str(checkout)]
+    try:
+        top, head = subprocess.run(git + ["rev-parse", "--show-toplevel", "HEAD"], capture_output=True,
+                                   text=True, check=True).stdout.splitlines()
+        status = subprocess.run(git + ["status", "--porcelain"], capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    if Path(top).resolve() != checkout.resolve():
+        return None  # a directory inside some other checkout
+    return {"commit": head, "dirty": bool(status.strip())}
 
 
 def spread(values: list) -> dict:
@@ -114,6 +132,7 @@ def main(argv=None) -> int:
         "traced_command": f"perfbench/run.py --trace 1 --seconds {TRACED_SECONDS}",
         "traced_seeds": [SEED, SEED + TRACED_RUNS - 1],
         "nproc": os.cpu_count(),
+        "checkouts": {side: checkout_state(path) for side, path in sides.items()},
         "workloads": {},
     }
     any_failed = False

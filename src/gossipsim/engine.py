@@ -13,15 +13,20 @@ Randomness: the per-node forwarding draw comes from child stream `node`
 of the execution seed, so a trace is a pure function of
 (graph, source, spec, seed) regardless of traversal order.
 
-Only Gossip3 with m > 0 takes the key-based round loop (copy counts,
-timeouts).  Every other spec, Gossip2 included, has no timeout: a node sends
-in the round after its first receipt or never, so its hop is its receive
-round and its parent the lowest-id sender of that round.  The lean loop
-keeps one key, receive round * (n + 1) + parent, per node.  A Gossip2 copy
-from a sender of degree below n_thresh, delivered to a node in the round it
-first receives, switches that node's threshold from p1 to p2 before it
-decides, which is the OR of boosts.  Both loops call `gather_neighbors` once
-per round that has a sender.
+Only Gossip3 with m > 0 takes the key-based round loop.  Each round the
+nodes that first received in the round before decide; a decliner is checked
+timeout_rounds rounds after its receipt, and if it is due a timeout it joins
+the next round's senders, so its only send comes timeout_rounds + 1 rounds
+after receipt.  Its key per node is hop * (n + 1) + parent, with the receive
+round and copy counts kept beside it.  Every other spec, Gossip2 included,
+has no timeout: a node sends in the round after its first receipt or never,
+so its hop is its receive round and its parent the lowest-id sender of that
+round.  The lean loop keeps one key, receive round * (n + 1) + parent, per
+node.  A Gossip2 copy from a sender of degree below n_thresh, delivered to a
+node in the round it first receives, switches that node's threshold from p1
+to p2 before it decides, which is the OR of boosts.  Both loops decode their
+keys through `_decode` and call `gather_neighbors` once per round that has a
+sender.
 """
 
 from __future__ import annotations
@@ -98,6 +103,19 @@ def _execute(g: Graph, source: int, spec: ProtocolSpec, seed: int, loop) -> Exec
     return ExecutionTrace(**fields, broadcast_count=int(fields["forwarded"].sum()))
 
 
+def _decode(first: np.ndarray, source: int) -> tuple:
+    """`received`, level and parent (int32, -1 where not received) from each
+    node's key level * (n + 1) + parent; the source's 0 decodes to parent -1."""
+    received = first != _NO_KEY
+    # decoded straight into int32 (the cast is buffered, so no int64 copies)
+    level = np.empty(first.size, dtype=np.int32)
+    parent = np.empty(first.size, dtype=np.int32)
+    np.divmod(first, first.size + 1, out=(level, parent), casting="unsafe")
+    level[~received] = parent[~received] = -1
+    parent[source] = -1
+    return received, level, parent
+
+
 def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -> tuple:
     n = g.n
     stride = n + 1
@@ -109,7 +127,7 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
     else:
         lucky = draws < spec.p
     # first[v] = receive_round * (n + 1) + parent of v's first copy: receivers
-    # of earlier rounds hold smaller keys (the source's 0 decodes to parent 0)
+    # of earlier rounds hold smaller keys
     first = np.full(n, _NO_KEY, dtype=np.int64)
     first[source] = 0
     frontier = np.array([source], dtype=np.intp)
@@ -129,13 +147,7 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
             # a boosted copy to a new receiver switches its draw to p2
             hot = targets[(seen >= t * stride) & boosts[snd]]
             lucky[hot] = draws[hot] < spec.p2
-    received = first != _NO_KEY
-    # decoded straight into int32 (the cast is buffered, so no int64 copies)
-    receive_round = np.empty(n, dtype=np.int32)
-    parent = np.empty(n, dtype=np.int32)
-    np.divmod(first, stride, out=(receive_round, parent), casting="unsafe")
-    receive_round[~received] = parent[~received] = -1
-    parent[source] = -1
+    received, receive_round, parent = _decode(first, source)
     forwarded = received & (lucky | (receive_round < k))
     # hop is the receive round: one read-only array serves both, and pickles once
     return received, receive_round, receive_round, parent, forwarded, np.zeros(n, bool), np.zeros(n, np.int32)
@@ -144,76 +156,54 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
 def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tuple:
     n = g.n
     stride = n + 1
+    coin = draws < spec.p
+    zone = spec.k * stride  # the keys of hops below k
+    # first[v] = hop * (n + 1) + parent of v's first copy; send_key[u] is the
+    # key u's broadcast gives its receivers, -1 until u sends
+    first = np.full(n, _NO_KEY, dtype=np.int64)
+    first[source] = 0
+    send_key = np.full(n, -1, dtype=np.int64)
     receive_round = np.full(n, -1, dtype=np.int32)
+    receive_round[source] = 0
     timeout_forward = np.zeros(n, dtype=bool)
     L_first = np.zeros(n, dtype=np.int32)
-    # first_key[v] = hop * (n + 1) + parent of v's first copy (the source's 0
-    # decodes to parent 0 and is reset to -1); send_key[u] is the key u's
-    # broadcast gives its receivers, -1 until u forwards
-    first_key = np.full(n, _NO_KEY, dtype=np.int64)
-    send_key = np.full(n, -1, dtype=np.int64)
-    coin = draws < spec.p
-    copies = np.zeros(n, dtype=np.int64)  # int64 + intp index: ufunc.at fast path
-    out_L = np.zeros(n, dtype=np.int32)
-    k = spec.k
-
-    sends: dict[int, list[np.ndarray]] = {}
-    checks: dict[int, list[np.ndarray]] = {}
-
-    def decide(nodes: np.ndarray, h: np.ndarray, round_: int) -> None:
-        # forward inside the k zone, otherwise with the protocol's probability
-        go = coin[nodes] | (h < k)
-        fwd = nodes[go]
-        if fwd.size:
-            send_key[fwd] = (h[go] + 1) * stride + fwd
-            out_L[fwd] = L_first[fwd]
-            sends.setdefault(round_, []).append(fwd)
-        declined = nodes[~go]
-        if declined.size:
-            checks.setdefault(round_ + spec.timeout_rounds, []).append(declined)
-
-    receive_round[source] = 0
-    first_key[source] = 0
-    decide(np.array([source], dtype=np.intp), np.zeros(1, dtype=np.int64), 0)
-
+    # copies heard, the first one included (the source's start is its own);
+    # int64 + intp index: ufunc.at fast path
+    copies = np.zeros(n, dtype=np.int64)
+    copies[source] = 1
+    checks: dict[int, np.ndarray] = {}  # check round -> the nodes that declined
+    fresh = np.array([source], dtype=np.intp)  # first received in round t
+    late = fresh[:0]  # timeout forwards due to send in round t
     t = 0
-    while sends or checks:
-        # timeout checks for nodes that first received in round t - timeout_rounds:
-        # copies currently reflect everything delivered through round t.
-        for cand in checks.pop(t, []):
-            extra = copies[cand] - (cand != source)  # the first copy does not count
-            late = cand[extra < spec.m]
-            if late.size:
-                timeout_forward[late] = True
-                send_key[late] = (first_key[late] // stride + 1) * stride + late
-                out_L[late] = L_first[late] + 1
-                sends.setdefault(t + 1, []).append(late)
-
-        batches = sends.pop(t, None)
-        if batches:
-            senders = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    while True:
+        go = coin[fresh] | (first[fresh] < zone)
+        if not go.all():
+            checks[t + spec.timeout_rounds] = fresh[~go]
+        senders = np.concatenate((fresh[go], late)) if late.size else fresh[go]
+        # copies now holds every delivery through round t; a timeout is due
+        # with fewer than m copies beyond the first
+        cand = checks.pop(t, None)
+        late = fresh[:0] if cand is None else cand[copies[cand] <= spec.m]
+        timeout_forward[late] = True
+        t += 1
+        if senders.size:
+            send_key[senders] = (first[senders] // stride + 1) * stride + senders
             targets, snd = gather_neighbors(g, senders)
             np.add.at(copies, targets, 1)
-            fresh = np.flatnonzero(receive_round[targets] == -1)
-            nt = targets[fresh]
-            if nt.size:
-                snd = snd[fresh]
-                key = send_key[snd]
-                np.minimum.at(first_key, nt, key)
-                np.maximum.at(L_first, nt, out_L[snd])
-                # (target, sender) pairs are unique within a round, so exactly
-                # one entry per new receiver holds its minimum key
-                won = first_key[nt] == key
-                newly = nt[won]
-                receive_round[newly] = t + 1
-                decide(newly, key[won] // stride, t + 1)
-        t += 1
-
-    received = receive_round >= 0
-    hop, parent = np.divmod(first_key, stride)
-    hop = np.where(received, hop, -1).astype(np.int32)
-    parent = np.where(received, parent, -1).astype(np.int32)
-    parent[source] = -1
+            new = np.flatnonzero(receive_round[targets] < 0)
+            nt, snd = targets[new], snd[new]
+            key = send_key[snd]
+            np.minimum.at(first, nt, key)
+            # a timeout forward carries its sender's L plus one
+            np.maximum.at(L_first, nt, L_first[snd] + timeout_forward[snd])
+            # (target, sender) pairs are unique in a round: one entry per new receiver wins
+            fresh = nt[first[nt] == key]
+            receive_round[fresh] = t
+        elif late.size or checks:
+            fresh = fresh[:0]
+        else:
+            break
+    received, hop, parent = _decode(first, source)
     return received, receive_round, hop, parent, send_key >= 0, timeout_forward, L_first
 
 

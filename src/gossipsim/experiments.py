@@ -34,7 +34,7 @@ from .protocols import (
     protocol_name,
 )
 from .rng import child_seed
-from .routing import discover_route, query_for, route_results_to_csv, zone_ball
+from .routing import discover_route, query_for, route_results_to_csv
 from .textio import write_rows
 from .topology import (
     UNREACHABLE,
@@ -92,7 +92,7 @@ class ExperimentConfig:
         """Every check that needs no graph, so a config in hand is valid."""
         if not self.name:
             raise ConfigError("name must be non-empty")
-        for key in ("runs", "route_distance", "route_queries", "route_attempts"):
+        for key in ("runs", "route_distance", "route_queries", "route_attempts", "route_min_distance"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if not 0.0 < self.extinction_threshold < 1.0:
@@ -332,6 +332,11 @@ def _setup(cfg: ExperimentConfig, out_dir: Optional[str]) -> tuple[ResultSet, Gr
     component = int((dmap.dist != UNREACHABLE).sum())
     if "theta" in cfg.metrics or cfg.p_sweep is not None:
         _check_theta_placement(cfg, g, dmap)
+    if "route_length" in cfg.metrics and dmap.max_distance < cfg.route_min_distance:
+        raise ConfigError(
+            f"route_min_distance {cfg.route_min_distance} is beyond the source's reach "
+            f"(max distance {dmap.max_distance})"
+        )
     rs = ResultSet(
         config=cfg,
         out_dir=out_dir or cfg.name,
@@ -449,13 +454,11 @@ def _route_discovery(rs: ResultSet, g: Graph, dmap: DistanceMap):
     if not dests.size:
         raise ConfigError(f"no destinations at distance {cfg.route_distance}")
     rows = []
-    # queries cycle through the destinations: one zone ball per destination reached
-    balls = [zone_ball(g, query_for(g, source, int(d), cfg.protocol)) for d in dests[: cfg.route_queries]]
     found = one_shot = broadcasts = 0
     for j in range(cfg.route_queries):
         dest = int(dests[j % dests.size])
         q = query_for(g, source, dest, cfg.protocol, max_attempts=cfg.route_attempts)
-        r = discover_route(g, q, child_seed(cfg.base_seed, _ROUTE_QUERY_STREAM + j), dmap, balls[j % dests.size])
+        r = discover_route(g, q, child_seed(cfg.base_seed, _ROUTE_QUERY_STREAM + j), dmap)
         rows.append((source, dest, r))
         found += r.found
         one_shot += r.found and r.attempts_used == 1

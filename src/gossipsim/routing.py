@@ -52,18 +52,11 @@ def query_for(g: Graph, source: int, dest: int, protocol: ProtocolSpec, max_atte
     return RouteQuery(source=source, dest=dest, protocol=protocol, max_attempts=max_attempts)
 
 
-def zone_ball(g: Graph, q: RouteQuery) -> tuple:
-    """Nodes within `q.zone_radius` hops of `q.dest` and their hop distances."""
-    return ball_distances(g, q.dest, q.zone_radius)
-
-
-def discover_route(
-    g: Graph, q: RouteQuery, base_seed: int, dmap: Optional[DistanceMap] = None, ball: Optional[tuple] = None
-) -> RouteResult:
+def discover_route(g: Graph, q: RouteQuery, base_seed: int, dmap: Optional[DistanceMap] = None) -> RouteResult:
     """Run up to max_attempts independent executions, stopping at the first hit.
 
-    `dmap`, the hop distances from `q.source`, and `ball`, `zone_ball(g, q)`,
-    each save a BFS per query when the caller has them.
+    `dmap`, the hop distances from `q.source`, saves a BFS per query when the
+    caller has it.
     """
     if not (0 <= q.dest < g.n):
         raise ValueError(f"destination {q.dest} outside graph of size {g.n}")
@@ -72,9 +65,7 @@ def discover_route(
     elif dmap.source != q.source or dmap.dist.size != g.n:
         raise ValueError(f"distance map from node {dmap.source} does not fit query source {q.source}")
     shortest = int(dmap.dist[q.dest]) if dmap.dist[q.dest] != UNREACHABLE else None
-    ball_nodes, ball_dist = zone_ball(g, q) if ball is None else ball
-    if ball_nodes[ball_dist == 0].tolist() != [q.dest] or ball_dist.max() > q.zone_radius:
-        raise ValueError(f"zone ball does not fit query destination {q.dest} and radius {q.zone_radius}")
+    ball_nodes, ball_dist = ball_distances(g, q.dest, q.zone_radius)
     total = 0
     for i in range(q.max_attempts):
         trace = run_execution(g, q.source, q.protocol, child_seed(base_seed, i))

@@ -250,6 +250,11 @@ def test_lean_loop_extremes_match_keyed_loop():
               (g, 0, Gossip2(0.5, 1, 0.5, 4)), (g, 0, Gossip2(0.0, 1, 1.0, 4)),
               (g, 0, Gossip2(0.4, 0, 0.9, 4)), (isolated, 0, Gossip2(0.4, 0, 0.9, 4)),
               (isolated, 0, Gossip2(0.2, 1, 0.7, 2))]
+    # gossip3 with m > 0: a degree-0 source that declines and times out, k = 0
+    # (a closed source), m above the maximum degree, timeouts of 1 and 6 rounds,
+    # the one-node graph
+    cases += [(isolated, 0, Gossip3(0.0, 0, 1, 2)), (g, 0, Gossip3(0.5, 0, 1, 2)), (g, 0, Gossip3(0.5, 1, top, 2)),
+              (g, 0, Gossip3(0.4, 1, 1, 1)), (g, 0, Gossip3(0.4, 1, 2, 6)), (single, 0, Gossip3(0.5, 0, 1, 3))]
     for graph, source, spec in cases:
         for seed in range(20):
             lean = run_execution(graph, source, spec, seed)
@@ -260,12 +265,21 @@ def test_lean_loop_extremes_match_keyed_loop():
     # a degree-0 source that forwards broadcasts once and reaches no one
     tr = run_execution(isolated, 0, FLOODING, 1)
     assert tr.broadcast_count == 1 and tr.received.sum() == 1
+    # ... and so does one that declines, hears nothing, and times out
+    tr = run_execution(isolated, 0, Gossip3(0.0, 0, 1, 2), 1)
+    assert tr.broadcast_count == 1 and tr.timeout_forward[0] and tr.received.sum() == 1
     # k = 0 and a closed source: nothing is sent
     seed = next(s for s in range(100) if unit_uniforms(s, np.arange(g.n))[0] >= 0.5)
     for spec in (Gossip1(0.5, 0), Gossip2(0.5, 0, 0.5, top)):
         tr = run_execution(g, 0, spec, seed)
         assert tr.broadcast_count == 0 and tr.received.sum() == 1
         assert tr.same_outcome(keyed_execution(g, 0, spec, seed))
+    # under gossip3 the closed source hears nothing and times out: its copy
+    # leaves timeout_rounds + 1 rounds after the start, carrying L = 1
+    tr = run_execution(g, 0, Gossip3(0.5, 0, 1, 2), seed)
+    assert tr.timeout_forward[0] and set(tr.receive_round[g.neighbors(0)]) == {4}
+    assert set(tr.L_at_receipt[g.neighbors(0)]) == {1}
+    assert tr.same_outcome(keyed_execution(g, 0, Gossip3(0.5, 0, 1, 2), seed))
 
 
 @pytest.mark.parametrize("spec", [FLOODING, Gossip1(0.6, 1), Gossip2(0.4, 1, 0.9, 4), Gossip3(0.5, 1, 0, 2),

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import Gossip1, Gossip3, Grid, RandomGeometric, build_topology, load_edgelist, routing
+from gossipsim import Gossip1, Gossip3, Grid, RandomGeometric, build_topology, load_edgelist
+from gossipsim import experiments
 from gossipsim.cli import main as cli_main
 from gossipsim.experiments import (
     ConfigError,
@@ -96,6 +97,8 @@ def test_parse_roundtrip():
         # a route destination is at least one hop away
         ("runs: 40", "runs: 40\nroute_distance: 0"),
         ("runs: 40", "runs: 40\nroute_distance: -1"),
+        ("runs: 40", "runs: 40\nroute_min_distance: 0"),
+        ("runs: 40", "runs: 40\nroute_min_distance: -5"),
         # empty values
         ("topology: grid 8 12", "topology:"),
         ("source: left_row 4", "source:"),
@@ -256,14 +259,8 @@ route_min_distance: 3
 metrics: route_discovery route_length
 """
     cfg = parse_config_text(text)
-    centers = []
-    ball_distances = routing.ball_distances
-    monkeypatch.setattr(routing, "ball_distances", lambda g, c, r: centers.append(c) or ball_distances(g, c, r))
     rs = run_experiment(cfg, out_dir=str(tmp_path / "routes"))
     assert sorted(rs.artifacts) == ["route_discovery.csv", "route_length.csv", "route_summary.csv"]
-    # the 40 queries cycle through the destinations; one zone ball each
-    dests = (tmp_path / "routes" / "route_discovery.csv").read_text().splitlines()[1:]
-    assert len(dests) == 40 and sorted(centers) == sorted({int(row.split(",")[1]) for row in dests})
     summary = rs.results["route_discovery"]
     assert summary["queries"] == 40
     assert 0.0 <= summary["success_rate"] <= 1.0
@@ -271,6 +268,11 @@ metrics: route_discovery route_length
     with pytest.raises(ConfigError):  # no node 30 hops from the source
         run_experiment(replace(cfg, route_distance=30), out_dir=str(tmp_path / "none"))
     assert not (tmp_path / "none").exists()
+    # no node 40 hops from the source: rejected before the batch
+    monkeypatch.setattr(experiments, "iter_batch", None)
+    with pytest.raises(ConfigError, match="route_min_distance"):
+        run_experiment(replace(cfg, route_min_distance=40), out_dir=str(tmp_path / "far"))
+    assert not (tmp_path / "far").exists()
 
 
 def test_report_flooding_ratio_one(tmp_path):

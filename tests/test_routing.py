@@ -16,7 +16,7 @@ from gossipsim import (
     run_execution,
 )
 from gossipsim.rng import child_seed
-from gossipsim.routing import RouteQuery, discover_route, query_for, route_results_to_csv, zone_ball
+from gossipsim.routing import RouteQuery, discover_route, query_for, route_results_to_csv
 
 from conftest import line_graph, random_graph
 
@@ -84,21 +84,11 @@ def test_discover_route_reuses_distance_map():
             q = query_for(g, src, int(dest), spec, max_attempts=2)
             expected = discover_route(g, q, child_seed(3, j))
             assert discover_route(g, q, child_seed(3, j), dm) == expected
-            assert discover_route(g, q, child_seed(3, j), ball=zone_ball(g, q)) == expected
     other = hop_distances(g, int(dests[0]))
     with pytest.raises(ValueError):
         discover_route(g, query_for(g, src, int(dests[1]), FLOODING), 1, other)
     with pytest.raises(ValueError):
         discover_route(line_graph(5), query_for(None, src, 1, FLOODING), 1, dm)
-    spec = Gossip4(0.5, 1, 2)
-    q = query_for(g, src, int(dests[1]), spec)
-    for wrong in (
-        zone_ball(g, query_for(g, src, int(dests[0]), spec)),  # another destination
-        zone_ball(g, query_for(g, src, int(dests[1]), Gossip4(0.5, 1, 3))),  # a wider zone
-        (np.array([], dtype=np.intp), np.array([], dtype=np.int32)),
-    ):
-        with pytest.raises(ValueError):
-            discover_route(g, q, 1, ball=wrong)
 
 
 def test_multi_attempt_success_matches_independence():
