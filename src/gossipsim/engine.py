@@ -176,10 +176,12 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
     late = fresh[:0]  # timeout forwards due to send in round t
     t = 0
     while True:
-        go = coin[fresh] | (first[fresh] < zone)
-        if not go.all():
-            checks[t + spec.timeout_rounds] = fresh[~go]
-        senders = np.concatenate((fresh[go], late)) if late.size else fresh[go]
+        senders = late
+        if fresh.size:
+            go = coin[fresh] | (first[fresh] < zone)
+            if not go.all():
+                checks[t + spec.timeout_rounds] = fresh[~go]
+            senders = np.concatenate((fresh[go], late)) if late.size else fresh[go]
         # copies now holds every delivery through round t; a timeout is due
         # with fewer than m copies beyond the first
         cand = checks.pop(t, None)
