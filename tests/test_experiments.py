@@ -97,13 +97,14 @@ def test_parse_roundtrip():
         # a route destination is at least one hop away
         ("runs: 40", "runs: 40\nroute_distance: 0"),
         ("runs: 40", "runs: 40\nroute_distance: -1"),
-        ("runs: 40", "runs: 40\nroute_min_distance: 0"),
-        ("runs: 40", "runs: 40\nroute_min_distance: -5"),
         # empty values
         ("topology: grid 8 12", "topology:"),
         ("source: left_row 4", "source:"),
         ("protocol: gossip1 0.7 2", "protocol:"),
         ("name: tiny", "name:"),
+        # the route-length floor is at least one hop
+        ("runs: 40", "runs: 40\nroute_min_distance: 0"),
+        ("runs: 40", "runs: 40\nroute_min_distance: -5"),
     ],
 )
 def test_bad_configs_rejected(mutation):
