@@ -22,6 +22,13 @@ exact engine counts, the median and quartiles of each layer metric named in
 TRACED_METRICS, and whether both sides' engine counts are equal seed by seed
 (a traced run that fails is kept like a failed untimed run).
 
+Last, each side runs the Tier-1 suite once, parent first, with
+`--durations=15` (TIER1_COMMAND, with `src` prepended to PYTHONPATH).  The
+record keeps, under `tier1`, each side's wall time, pytest's return code, its
+outcome counts, the ids of the tests that failed, and the 15 slowest test
+phases.  Failing tests do not fail the script; a suite that does not finish
+(return code above 1) does.
+
 The record names each side's commit under `checkouts`: `git rev-parse HEAD`
 and whether `git status --porcelain` lists anything, or null when the
 directory is not the top of a git checkout.
@@ -30,15 +37,19 @@ directory is not the top of a git checkout.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SEED = 1  # seed of round 0; round i uses SEED + i
 TRACED_SECONDS = 5
 TRACED_RUNS = 3  # per side and workload; a layer delta is a median, not one sample
-TRACED_METRICS = ("engine.us_per_round", "engine.self_s", "topology.gather_s")
+TRACED_METRICS = ("engine.us_per_round", "engine.self_s", "topology.gather_s", "topology.build_s",
+                  "topology.bfs_s")
+TIER1_COMMAND = ("-m", "pytest", "-q", "-rf", "--continue-on-collection-errors", "--durations=15")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -63,6 +74,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         elif tag == "engine_counts":
             result["engine_counts"] = json.loads(rest)
     return result
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One Tier-1 run in `checkout`: wall time, outcome counts, failing ids, slowest phases."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH")))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_COMMAND], cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    summary = next((ln for ln in reversed(lines) if re.search(r"\d+ \w+.* in [\d.]+s", ln)), "")
+    durations = (re.match(r"([\d.]+)s (setup|call|teardown) +(.+)", ln) for ln in lines)
+    return {
+        "wall_s": wall,
+        "returncode": proc.returncode,
+        "counts": {word: int(count) for count, word in re.findall(r"(\d+) (\w+)", summary.split(" in ")[0])},
+        "failed": [ln.split(" ", 1)[1].split(" - ")[0] for ln in lines if ln.startswith(("FAILED ", "ERROR "))],
+        "slowest": [{"s": float(m[1]), "phase": m[2], "test": m[3]} for m in durations if m],
+    }
 
 
 def checkout_state(checkout: Path):
@@ -170,6 +199,12 @@ def main(argv=None) -> int:
             for p, c in zip(traced["parent"], traced["change"])
         )
         record["workloads"][workload] = entry
+    record["tier1_command"] = "PYTHONPATH=src python " + " ".join(TIER1_COMMAND)
+    record["tier1"] = {}
+    for side, path in sides.items():
+        print(f"tier1 {side}", file=sys.stderr, flush=True)
+        record["tier1"][side] = run_tier1(path)
+        any_failed |= record["tier1"][side]["returncode"] > 1
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 1 if any_failed else 0
 

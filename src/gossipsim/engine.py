@@ -231,18 +231,17 @@ def iter_batch(
 ) -> Iterator[ExecutionTrace]:
     """Yield traces for runs 0..runs-1; run i uses seed child(base_seed, i).
 
-    Output is identical for any worker count; with workers > 1 the runs are
-    executed by a process pool but still yielded in run order.
+    Output is identical for any worker count; with workers > 1 a pool of
+    min(workers, runs) processes executes the runs, yielded in run order.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     seeds = [child_seed(base_seed, i) for i in range(runs)]
+    workers = min(workers, runs)
     if workers <= 1:
-        for s in seeds:
-            yield run_execution(g, source, spec, s)
+        yield from (run_execution(g, source, spec, s) for s in seeds)
         return
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, runs // (workers * 8))
     with ctx.Pool(workers, initializer=_pool_init, initargs=(g, source, spec)) as pool:
-        yield from pool.imap(_pool_run, seeds, chunksize=chunk)
+        yield from pool.imap(_pool_run, seeds, chunksize=max(1, runs // (workers * 8)))
 

@@ -72,26 +72,27 @@ class Graph:
     __slots__ = ("n", "indptr", "indices", "indices_intp", "degrees", "coords")
 
     def __init__(self, n: int, edges: np.ndarray, coords: Optional[np.ndarray] = None):
-        """Build from an (m, 2) array of edges with u < v, no duplicates."""
+        """Build from an (m, 2) array of undirected edges in any order, each given
+        once in either orientation: a pair given both ways is a duplicate."""
         if n < 1:
             raise ValueError("graph needs at least one node")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise ValueError("self-loops are not allowed")
-        both = np.concatenate([edges, edges[:, ::-1]]) if edges.size else edges
-        order = np.lexsort((both[:, 1], both[:, 0])) if both.size else np.array([], dtype=np.int64)
-        src = both[order, 0] if both.size else np.array([], dtype=np.int64)
-        dst = both[order, 1] if both.size else np.array([], dtype=np.int64)
-        if src.size and np.any((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])):
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        u, v = edges.T
+        if np.any(u == v):
+            raise ValueError("self-loops are not allowed")
+        # One key src * n + dst per directed edge, sorted in place, is the CSR
+        # order (n * n fits in int64 for every n below 3 * 10**9).
+        key = np.concatenate([u * n + v, v * n + u])
+        key.sort()
+        if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
         self.n = int(n)
-        self.degrees = np.bincount(src, minlength=n).astype(np.int64)
+        self.degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)
         self.indptr = np.concatenate([[0], np.cumsum(self.degrees)]).astype(np.int64)
-        self.indices = dst.astype(np.int32)
-        self.indices_intp = dst.astype(np.intp)  # index-ready copy for gather_neighbors
+        self.indices_intp = (key % n).astype(np.intp, copy=False)  # index-ready for gather_neighbors
+        self.indices = self.indices_intp.astype(np.int32)
         if coords is not None:
             coords = np.asarray(coords, dtype=np.float64).reshape(n, 2)
             coords.flags.writeable = False

@@ -114,6 +114,25 @@ def test_workers_do_not_change_results(grid20x50):
         assert a.same_outcome(b)
 
 
+
+def test_pool_size_capped_at_run_count(grid20x50, monkeypatch):
+    # more workers than runs: the pool gets one process per run, and no pool for one run
+    fork = engine.multiprocessing.get_context("fork")
+    sizes = []
+
+    class RecordingContext:
+        def Pool(self, processes, **kwargs):
+            sizes.append(processes)
+            return fork.Pool(min(processes, 2), **kwargs)  # never more than 2 real processes
+
+    monkeypatch.setattr(engine.multiprocessing, "get_context", lambda method: RecordingContext())
+    spec = Gossip1(0.7, 4)
+    for runs in (1, 2):
+        par = list(iter_batch(grid20x50, 0, spec, runs, 2024, workers=64))
+        seq = list(iter_batch(grid20x50, 0, spec, runs, 2024, workers=1))
+        assert len(par) == runs and all(a.same_outcome(b) for a, b in zip(seq, par))
+    assert sizes == [2]
+
 def test_gossip3_timeout_chain_on_a_line():
     # p=0 outside the k zone: propagation advances only via timeout forwards.
     g = line_graph(5)

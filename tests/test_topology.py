@@ -119,18 +119,60 @@ def test_rgg_cell_list_matches_all_pairs(n, log_w, log_aspect, log_r, seed):
 
 
 def test_rgg_matches_pinned_digests():
-    # SHA-256 of indptr, indices and coords, recorded with the all-pairs build.
+    # SHA-256 of indptr, indices and coords (when present).  The two rgg 1000
+    # digests were recorded with the all-pairs build, the others with the
+    # (src, dst) lexsort build: every builder's CSR must stay as it was.
     pinned = {
-        38: "8b572c6491d13375b9eeedcb0f4883124bcbf56cad73b49026c03a905ebbcc09",
-        28: "3078ea5bce39d1e5c06b03b0f9609d0ce0743244b1bed4e4e12e204911062b05",
+        RandomGeometric(1000, 7500, 3000, 250, 38): "8b572c6491d13375b9eeedcb0f4883124bcbf56cad73b49026c03a905ebbcc09",
+        RandomGeometric(1000, 7500, 3000, 250, 28): "3078ea5bce39d1e5c06b03b0f9609d0ce0743244b1bed4e4e12e204911062b05",
+        Grid(300, 300): "b798f0d7a1b0a8d451173477c6962f5825abebe0a87a3a6b6d7378398bc92ecd",
+        Grid(20, 50): "c120d172162879dc79535916190c663f5049fb399e5e7e76c557ab990727b0ba",
+        RegularMesh(3, 10, 12): "f620a7bc214e335940c0dfe1f6dc1865b64109051e631b70a3fa1594c814ceef",
+        RegularMesh(6, 10, 12): "ae4154f269eadacb4881b8d207b71c8aee81559220fe7ec85e88406060de4a68",
+        RandomGeometric(10000, 23717, 9487, 250, 28): "2bd4115c6ddc6ee6effa4b08b5ec0b1b8a78afdcd31f20a81263f23ae45c6eae",
     }
-    for seed, digest in pinned.items():
-        g = build_topology(RandomGeometric(1000, 7500, 3000, 250, seed))
+    for spec, digest in pinned.items():
+        g = build_topology(spec)
         h = hashlib.sha256()
         for arr in (g.indptr, g.indices, g.coords):
-            h.update(arr.dtype.str.encode())
-            h.update(arr.tobytes())
-        assert h.hexdigest() == digest, seed
+            if arr is not None:
+                h.update(arr.dtype.str.encode())
+                h.update(arr.tobytes())
+        assert h.hexdigest() == digest, spec
+
+
+def _sorted_adjacency(n: int, edges) -> tuple[list, list, list]:
+    """Reference CSR (indptr, indices, degrees) from plain sorted Python lists."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    indptr = [0]
+    for nbrs in adj:
+        indptr.append(indptr[-1] + len(nbrs))
+    return indptr, [v for nbrs in adj for v in sorted(nbrs)], [len(nbrs) for nbrs in adj]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.data())
+def test_graph_matches_sorted_adjacency_reference(n, data):
+    # any edge set (empty, isolated nodes, n = 1), shuffled, each edge in a random orientation
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    order = data.draw(st.permutations(sorted(chosen)))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    edges = np.array([(v, u) if flip else (u, v) for (u, v), flip in zip(order, flips)],
+                     dtype=np.int64).reshape(-1, 2)
+    g = Graph(n, edges)
+    indptr, indices, degrees = _sorted_adjacency(n, order)
+    assert g.n == n
+    assert g.indptr.dtype == np.int64 and g.indptr.tolist() == indptr
+    assert g.indices.dtype == np.int32 and g.indices.tolist() == indices
+    assert g.indices_intp.dtype == np.intp and g.indices_intp.tolist() == indices
+    assert g.degrees.dtype == np.int64 and g.degrees.tolist() == degrees
+    for arr in (g.indptr, g.indices, g.indices_intp, g.degrees):
+        assert not arr.flags.writeable
+    assert g.edges().tolist() == [list(e) for e in sorted(chosen)]
 
 
 def test_graph_structural_invariants():
@@ -351,7 +393,11 @@ def test_graph_rejects_self_loops_and_duplicates():
     with pytest.raises(ValueError):
         Graph(3, np.array([[0, 1], [0, 1]]))
     with pytest.raises(ValueError):
+        Graph(3, np.array([[0, 1], [1, 0]]))  # one edge given both ways
+    with pytest.raises(ValueError):
         Graph(3, np.array([[0, 5]]))
+    with pytest.raises(ValueError):
+        Graph(3, np.array([[-1, 2]]))
 
 
 def test_hop_distances_invalid_source():
