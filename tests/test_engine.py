@@ -114,7 +114,6 @@ def test_workers_do_not_change_results(grid20x50):
         assert a.same_outcome(b)
 
 
-
 def test_pool_size_capped_at_run_count(grid20x50, monkeypatch):
     # more workers than runs: the pool gets one process per run, and no pool for one run
     fork = engine.multiprocessing.get_context("fork")
@@ -132,6 +131,7 @@ def test_pool_size_capped_at_run_count(grid20x50, monkeypatch):
         seq = list(iter_batch(grid20x50, 0, spec, runs, 2024, workers=1))
         assert len(par) == runs and all(a.same_outcome(b) for a, b in zip(seq, par))
     assert sizes == [2]
+
 
 def test_gossip3_timeout_chain_on_a_line():
     # p=0 outside the k zone: propagation advances only via timeout forwards.
