@@ -8,9 +8,10 @@ For each round and each workload in the change's BENCHMARK.json, runs
 goes first, and reads the JSON result on its last line.  The record holds,
 per workload and side, every run's end-to-end metrics with their median and
 quartiles, how many runs reported `correct`, and per metric the number of
-pairs the change won (ties count for neither side).  Round i runs both sides
-with seed 1 + i and BENCHMARK.json's run_seconds, so each pair differs only in
-the checkout.  A run that exits nonzero or prints no result is kept in the
+pairs the change won (ties count for neither side), and whether the move is
+`resolved`: the two sides' medians differ by more than the parent's quartile
+spread (q3 - q1).  Round i runs both sides with seed 1 + i and
+BENCHMARK.json's run_seconds, so each pair differs only in the checkout.  A run that exits nonzero or prints no result is kept in the
 record with its return code and the tail of its stderr, listed under
 `failed_runs`, and left out of the metrics and of the pairs; the script then
 writes the record and exits 1.
@@ -19,8 +20,9 @@ After the pairs, each side runs every workload TRACED_RUNS more times
 traced (`--trace 1 --seconds 5`, seeds 1 .. TRACED_RUNS, alternating which
 side goes first); the record keeps, under `traced`, every run's checks and
 exact engine counts, the median and quartiles of each layer metric named in
-TRACED_METRICS, and whether both sides' engine counts are equal seed by seed
-(a traced run that fails is kept like a failed untimed run).
+TRACED_METRICS, whether each of those moves is resolved by the same rule as
+the end-to-end metrics, and whether both sides' engine counts are equal seed
+by seed (a traced run that fails is kept like a failed untimed run).
 
 Last, each side runs the Tier-1 suite once, parent first, with
 `--durations=15` (TIER1_COMMAND, with `src` prepended to PYTHONPATH).  The
@@ -113,6 +115,11 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def resolved(parent: dict, change: dict) -> bool:
+    """Whether the medians of two spreads differ by more than the parent's q3 - q1."""
+    return abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+
+
 def traced_summary(results: list) -> dict:
     """What the record keeps of one side's traced runs (seed order): each run's
     checks and engine counts (a failed run as run_once returned it), and the
@@ -188,12 +195,18 @@ def main(argv=None) -> int:
             entry["median_change_over_parent"] = {
                 m: entry["change"][m]["median"] / entry["parent"][m]["median"] for m in metrics
             }
+            entry["resolved"] = {m: resolved(entry["parent"][m], entry["change"][m]) for m in metrics}
         traced = {side: [] for side in sides}
         for j in range(TRACED_RUNS):
             for side in list(sides) if j % 2 == 0 else list(sides)[::-1]:
                 traced[side].append(run_once(sides[side], workload, SEED + j, TRACED_SECONDS, trace=1))
         any_failed |= any("metrics" not in r for runs_ in traced.values() for r in runs_)
         entry["traced"] = {side: traced_summary(runs_) for side, runs_ in traced.items()}
+        entry["traced_resolved"] = {
+            m: resolved(entry["traced"]["parent"][m], entry["traced"]["change"][m])
+            for m in TRACED_METRICS
+            if all(m in entry["traced"][side] for side in sides)
+        }
         entry["traced_engine_counts_equal"] = all(
             p.get("engine_counts") is not None and p.get("engine_counts") == c.get("engine_counts")
             for p, c in zip(traced["parent"], traced["change"])

@@ -48,7 +48,7 @@ _ARRAY_FIELDS = ("received", "receive_round", "hop", "parent", "forwarded", "tim
 
 @dataclass
 class ExecutionTrace:
-    """Per-node outcome of one simulated propagation."""
+    """Per-node outcome of one simulated propagation; its arrays are read-only."""
 
     source: int
     protocol: ProtocolSpec
@@ -61,6 +61,16 @@ class ExecutionTrace:
     timeout_forward: np.ndarray # bool, Gossip3 timeout broadcasts
     L_at_receipt: np.ndarray    # int32, timeout counter on the first copy
     broadcast_count: int
+
+    def __post_init__(self):
+        # read-only, whether built here or unpickled from a pool worker: a lean
+        # trace's hop and receive_round are one array
+        for name in _ARRAY_FIELDS:
+            getattr(self, name).flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def n(self) -> int:
@@ -97,8 +107,6 @@ def _execute(g: Graph, source: int, spec: ProtocolSpec, seed: int, loop) -> Exec
         raise ValueError(f"source {source} outside graph of size {g.n}")
     draws = unit_uniforms(seed, np.arange(g.n, dtype=np.int64))
     arrays = loop(g, source, spec, draws)
-    for arr in arrays:
-        arr.flags.writeable = False
     fields = dict(zip(_ARRAY_FIELDS, arrays), source=int(source), protocol=spec, seed=int(seed))
     return ExecutionTrace(**fields, broadcast_count=int(fields["forwarded"].sum()))
 
@@ -149,7 +157,7 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
             lucky[hot] = draws[hot] < spec.p2
     received, receive_round, parent = _decode(first, source)
     forwarded = received & (lucky | (receive_round < k))
-    # hop is the receive round: one read-only array serves both, and pickles once
+    # hop is the receive round: one array serves both, and pickles once
     return received, receive_round, receive_round, parent, forwarded, np.zeros(n, bool), np.zeros(n, np.int32)
 
 

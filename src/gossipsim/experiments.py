@@ -403,6 +403,14 @@ def _coverage(rs: ResultSet, g: Graph, dmap: DistanceMap) -> M.CoverageAccumulat
     return M.CoverageAccumulator(dmap, rs.config.band)
 
 
+def _overhead(rs: ResultSet, g: Graph, dmap: DistanceMap) -> M.OverheadAccumulator:
+    """Serves overhead and zone_coverage; a gossip4 batch's zone accumulator
+    rides inside it, so each trace gets one zone BFS."""
+    protocol = rs.config.protocol
+    zone = M.ZoneCoverageAccumulator(g, dmap, protocol.zone_radius) if isinstance(protocol, Gossip4) else None
+    return M.OverheadAccumulator(rs.component_size, zone)
+
+
 # metric -> (accumulator factory(rs, g, dmap), finish(acc, cfg) returning the
 # metric's result and the writer of its artifact, <metric>.csv).  Metrics that
 # name the same factory share one accumulator.
@@ -410,11 +418,8 @@ _METRICS = {
     "profile": (lambda rs, g, dmap: M.ProfileAccumulator(dmap), lambda acc, cfg: _own_csv(acc.result())),
     "bimodal": (_coverage, lambda acc, cfg: _own_csv(acc.summary())),
     "theta": (_coverage, _finish_theta),
-    "overhead": (lambda rs, g, dmap: M.OverheadAccumulator(rs.component_size, g), _finish_overhead),
-    "zone_coverage": (
-        lambda rs, g, dmap: M.ZoneCoverageAccumulator(g, dmap, rs.config.protocol.zone_radius),
-        lambda acc, cfg: _own_csv(acc.result()),
-    ),
+    "overhead": (_overhead, _finish_overhead),
+    "zone_coverage": (_overhead, lambda acc, cfg: _own_csv(acc.zone.result())),
     "route_length": (
         lambda rs, g, dmap: M.RouteLengthAccumulator(dmap, rs.config.route_min_distance),
         _finish_route_length,

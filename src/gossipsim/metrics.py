@@ -199,16 +199,16 @@ class CoverageAccumulator(_Consumer):
 
 
 class OverheadAccumulator(_Consumer):
-    """Broadcasts per run relative to flooding (the component size); gossip4
-    zone unicasts are counted apart and never enter the ratio."""
+    """Broadcasts per run relative to flooding (the component size).  A gossip4
+    run goes on to `zone`, the batch's zone-coverage accumulator, which counts
+    its zone unicasts apart from the ratio; `zone` is None for other protocols."""
 
-    def __init__(self, flooding_baseline: int, g: Graph):
+    def __init__(self, flooding_baseline: int, zone: Optional[ZoneCoverageAccumulator]):
         if flooding_baseline <= 0:
             raise ValueError("flooding baseline must be positive")
         self.baseline = flooding_baseline
-        self.g = g
+        self.zone = zone
         self.broadcasts: list[int] = []
-        self.unicasts: list[int] = []
         self.timeouts = 0
         self.L_ge1 = 0
         self.L_in_1_2 = 0
@@ -216,9 +216,10 @@ class OverheadAccumulator(_Consumer):
 
     def add(self, trace: ExecutionTrace) -> None:
         self.broadcasts.append(trace.broadcast_count)
-        if isinstance(trace.protocol, Gossip4) and trace.protocol.zone_radius > 0:
-            level = _trace_zone_levels(self.g, trace.received, trace.protocol.zone_radius)
-            self.unicasts.append(int(level[level > 0].sum()))
+        if isinstance(trace.protocol, Gossip4):
+            if self.zone is None:
+                raise ValueError("a gossip4 trace needs a zone-coverage accumulator to count its unicasts")
+            self.zone.add(trace)
         if isinstance(trace.protocol, Gossip3):
             self.timeouts += int(trace.timeout_forward.sum())
             sent = trace.sent_L()
@@ -230,7 +231,8 @@ class OverheadAccumulator(_Consumer):
 
     def result(self) -> OverheadReport:
         mean_b = float(np.mean(self.broadcasts))
-        mean_u = float(np.mean(self.unicasts)) if self.unicasts else 0.0
+        unicasts = self.zone.unicasts if self.zone is not None else []
+        mean_u = float(np.mean(unicasts)) if unicasts else 0.0
         total_b = int(np.sum(self.broadcasts))
         return OverheadReport(
             mean_broadcasts=mean_b,
@@ -244,15 +246,21 @@ class OverheadAccumulator(_Consumer):
 
 
 class ZoneCoverageAccumulator(_Consumer):
+    """Gossip4's zone coverage profile and zone unicasts per run, both read
+    from one bounded BFS out of the run's receivers (`zone_levels`)."""
+
     def __init__(self, g: Graph, dmap: DistanceMap, zone_radius: int):
         if zone_radius < 0:
             raise ValueError("zone_radius must be non-negative")
         self.g = g
         self.zone_radius = zone_radius
         self.inner = ProfileAccumulator(dmap)
+        self.unicasts: list[int] = []
 
     def add(self, trace: ExecutionTrace) -> None:
-        self.inner._add_reached(_trace_zone_levels(self.g, trace.received, self.zone_radius) >= 0)
+        level = zone_levels(self.g, trace.received, self.zone_radius)
+        self.inner._add_reached(level >= 0)
+        self.unicasts.append(int(level[level > 0].sum()))
 
     def result(self) -> DistanceProfile:
         return self.inner.result()
@@ -279,29 +287,6 @@ class RouteLengthAccumulator(_Consumer):
         if self.count == 0:
             raise ValueError("no reached destinations at or beyond the minimum distance")
         return self.total / self.count
-
-
-# (received, graph, radius, levels) of the last trace, so the overhead and
-# zone-coverage accumulators share one BFS per trace
-_last_zone: Optional[tuple] = None
-
-
-def _trace_zone_levels(g: Graph, received: np.ndarray, zone_radius: int) -> np.ndarray:
-    """`zone_levels`, memoized on a trace's read-only `received` array."""
-    global _last_zone
-    memo = _last_zone
-    if (
-        memo is not None
-        and memo[0] is received
-        and memo[1] is g
-        and memo[2] == zone_radius
-        and not received.flags.writeable
-    ):
-        return memo[3]
-    level = zone_levels(g, received, zone_radius)
-    level.flags.writeable = False
-    _last_zone = (received, g, zone_radius, level) if not received.flags.writeable else None
-    return level
 
 
 def theta_rows_to_csv(path_or_file, rows: Sequence[tuple[float, ThetaEstimate]]) -> None:

@@ -112,6 +112,9 @@ def test_workers_do_not_change_results(grid20x50):
     par = list(iter_batch(grid20x50, 0, Gossip1(0.7, 4), 8, 2024, workers=2))
     for a, b in zip(seq, par):
         assert a.same_outcome(b)
+        # a pooled trace is as read-only as a local one
+        for name in engine._ARRAY_FIELDS:
+            assert not getattr(b, name).flags.writeable, name
 
 
 def test_pool_size_capped_at_run_count(grid20x50, monkeypatch):

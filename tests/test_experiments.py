@@ -36,6 +36,18 @@ band: 2 8
 metrics: bimodal profile overhead
 """
 
+# zones100 with fewer runs: gossip4's zone metrics beside the profile
+ZONES = """
+schema_version: 1
+name: zones
+topology: rgg 100 2200 600 250 34
+source: left_row 0
+protocol: gossip4 0.65 1 3
+runs: 12
+base_seed: 20260810
+metrics: profile zone_coverage overhead
+"""
+
 SWEEP = """
 schema_version: 1
 name: tiny_sweep
@@ -198,10 +210,29 @@ def test_sweep_requires_sweep_fields(tmp_path):
 
 
 def test_workers_yield_identical_artifacts(tmp_path):
-    cfg = parse_config_text(TINY)
-    a = run_experiment(cfg, out_dir=str(tmp_path / "w1"), workers=1)
-    b = run_experiment(cfg, out_dir=str(tmp_path / "w2"), workers=2)
-    assert a.artifacts == b.artifacts
+    for j, text in enumerate((TINY, ZONES)):
+        cfg = parse_config_text(text)
+        a = run_experiment(cfg, out_dir=str(tmp_path / f"{j}w1"), workers=1)
+        b = run_experiment(cfg, out_dir=str(tmp_path / f"{j}w2"), workers=2)
+        assert a.artifacts == b.artifacts
+
+
+def test_one_zone_bfs_per_trace(tmp_path, monkeypatch):
+    # overhead and zone_coverage read one zone_levels call per run, whether
+    # the traces are made here or come back from a pool
+    calls = []
+    zone_levels = experiments.M.zone_levels
+
+    def counted(*args):
+        calls.append(args)
+        return zone_levels(*args)
+
+    monkeypatch.setattr(experiments.M, "zone_levels", counted)
+    cfg = parse_config_text(ZONES)
+    for workers in (1, 2):
+        calls.clear()
+        run_experiment(cfg, out_dir=str(tmp_path / f"w{workers}"), workers=workers)
+        assert len(calls) == cfg.runs, workers
 
 
 def test_source_resolution_graph_positions():

@@ -129,7 +129,7 @@ def test_wilson_interval():
 
 def test_flooding_overhead_ratio_exactly_one(grid_setup):
     g, src, dm = grid_setup
-    report = OverheadAccumulator(g.n, g).consume(iter_batch(g, src, FLOODING, 4, 6)).result()
+    report = OverheadAccumulator(g.n, None).consume(iter_batch(g, src, FLOODING, 4, 6)).result()
     assert report.ratio == 1.0
     assert report.mean_broadcasts == g.n
     assert report.zone_unicasts == 0.0
@@ -139,12 +139,12 @@ def test_flooding_overhead_ratio_exactly_one(grid_setup):
 def test_overhead_requires_positive_baseline(grid_setup):
     g, src, dm = grid_setup
     with pytest.raises(ValueError):
-        OverheadAccumulator(0, g)
+        OverheadAccumulator(0, None)
 
 
 def test_overhead_gossip3_latency_fields(grid_setup):
     g, src, dm = grid_setup
-    report = OverheadAccumulator(g.n, g).consume(iter_batch(g, src, Gossip3(0.5, 2, 1, 2), 30, 11)).result()
+    report = OverheadAccumulator(g.n, None).consume(iter_batch(g, src, Gossip3(0.5, 2, 1, 2), 30, 11)).result()
     assert 0.0 <= report.timeout_fraction <= 1.0
     # every timeout forward carries L >= 1, so it is among the L >= 1 broadcasts
     assert report.frac_L_ge1 >= report.timeout_fraction
@@ -182,29 +182,22 @@ def test_zone_covered_levels():
 def test_zone_unicast_accounting():
     g = line_graph(5)
     tr = run_execution(g, 0, Gossip4(0.0, 1, 2), 3)  # receivers: 0, 1
-    acc = OverheadAccumulator(5, g)
+    acc = OverheadAccumulator(5, ZoneCoverageAccumulator(g, hop_distances(g, 0), 2))
     acc.add(tr)
     # covered non-receivers: node 2 (1 hop from node 1), node 3 (2 hops)
-    assert acc.unicasts == [1 + 2]
+    assert acc.zone.unicasts == [1 + 2]
     report = acc.result()
     assert report.zone_unicasts == 3.0
-
-
-def test_zone_levels_shared_once_per_trace():
-    from gossipsim.metrics import _trace_zone_levels
-
-    g = line_graph(8)
-    tr = run_execution(g, 0, Gossip4(0.0, 1, 2), 3)
-    first = _trace_zone_levels(g, tr.received, 2)
-    assert _trace_zone_levels(g, tr.received, 2) is first
-    assert _trace_zone_levels(g, tr.received, 3) is not first
-    # a writable array is never memoized: changing it changes the result
-    received = tr.received.copy()
-    before = _trace_zone_levels(g, received, 2).copy()
-    received[7] = True
-    after = _trace_zone_levels(g, received, 2)
-    assert np.array_equal(after, zone_levels(g, received, 2))
-    assert not np.array_equal(before, after)
+    # the overhead accumulator hands the trace on: one zone profile run
+    assert acc.zone.result().runs == 1
+    # radius 0 covers only the receivers: 0 unicasts per run
+    acc0 = OverheadAccumulator(5, ZoneCoverageAccumulator(g, hop_distances(g, 0), 0)).consume([tr, tr])
+    assert acc0.zone.unicasts == [0, 0] and acc0.result().zone_unicasts == 0.0
+    # a gossip4 trace with no zone accumulator to count its unicasts fails
+    acc_none = OverheadAccumulator(5, None)
+    acc_none.add(run_execution(g, 0, Gossip1(0.5, 1), 3))
+    with pytest.raises(ValueError, match="zone-coverage"):
+        acc_none.add(tr)
 
 
 def test_route_length_ratio_flooding_is_one(grid_setup):
