@@ -16,7 +16,7 @@ record with its return code and the tail of its stderr, listed under
 `failed_runs`, and left out of the metrics and of the pairs; the script then
 writes the record and exits 1.
 
-After the pairs, each side runs every workload TRACED_RUNS more times
+After the pairs, each side runs every workload TRACED_RUNS (7) more times
 traced (`--trace 1 --seconds 5`, seeds 1 .. TRACED_RUNS, alternating which
 side goes first); the record keeps, under `traced`, every run's checks and
 exact engine counts, the median and quartiles of each layer metric named in
@@ -48,7 +48,9 @@ from pathlib import Path
 
 SEED = 1  # seed of round 0; round i uses SEED + i
 TRACED_SECONDS = 5
-TRACED_RUNS = 3  # per side and workload; a layer delta is a median, not one sample
+# per side and workload; a layer delta is a median, not one sample, and with
+# 3 runs the inclusive q3 - q1 is half the range, too narrow to rule out drift
+TRACED_RUNS = 7
 TRACED_METRICS = ("engine.us_per_round", "engine.self_s", "topology.gather_s", "topology.build_s",
                   "topology.bfs_s")
 TIER1_COMMAND = ("-m", "pytest", "-q", "-rf", "--continue-on-collection-errors", "--durations=15")

@@ -26,7 +26,9 @@ node.  A Gossip2 copy from a sender of degree below n_thresh, delivered to a
 node in the round it first receives, switches that node's threshold from p1
 to p2 before it decides, which is the OR of boosts.  Both loops decode their
 keys through `_decode` and call `gather_neighbors` once per round that has a
-sender.
+sender.  A gather may pad its targets with the sink id n (see `topology`), so
+each loop keeps one extra slot that makes the sink never new: the lean loop's
+key -1, the keyed loop's receive round 0.  Every trace array has n entries.
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
     else:
         lucky = draws < spec.p
     # first[v] = receive_round * (n + 1) + parent of v's first copy: receivers
-    # of earlier rounds hold smaller keys
-    first = np.full(n, _NO_KEY, dtype=np.int64)
+    # of earlier rounds hold smaller keys; the sink's -1 beats every copy
+    first = np.full(n + 1, _NO_KEY, dtype=np.int64)
     first[source] = 0
+    first[n] = -1
     frontier = np.array([source], dtype=np.intp)
     t = 0
     while True:
@@ -155,7 +158,7 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
             # a boosted copy to a new receiver switches its draw to p2
             hot = targets[(seen >= t * stride) & boosts[snd]]
             lucky[hot] = draws[hot] < spec.p2
-    received, receive_round, parent = _decode(first, source)
+    received, receive_round, parent = _decode(first[:n], source)
     forwarded = received & (lucky | (receive_round < k))
     # hop is the receive round: one array serves both, and pickles once
     return received, receive_round, receive_round, parent, forwarded, np.zeros(n, bool), np.zeros(n, np.int32)
@@ -171,13 +174,13 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
     first = np.full(n, _NO_KEY, dtype=np.int64)
     first[source] = 0
     send_key = np.full(n, -1, dtype=np.int64)
-    receive_round = np.full(n, -1, dtype=np.int32)
-    receive_round[source] = 0
+    receive_round = np.full(n + 1, -1, dtype=np.int32)
+    receive_round[source] = receive_round[n] = 0  # the sink is never new
     timeout_forward = np.zeros(n, dtype=bool)
     L_first = np.zeros(n, dtype=np.int32)
     # copies heard, the first one included (the source's start is its own);
     # int64 + intp index: ufunc.at fast path
-    copies = np.zeros(n, dtype=np.int64)
+    copies = np.zeros(n + 1, dtype=np.int64)
     copies[source] = 1
     checks: dict[int, np.ndarray] = {}  # check round -> the nodes that declined
     fresh = np.array([source], dtype=np.intp)  # first received in round t
@@ -214,7 +217,7 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
         else:
             break
     received, hop, parent = _decode(first, source)
-    return received, receive_round, hop, parent, send_key >= 0, timeout_forward, L_first
+    return received, receive_round[:n], hop, parent, send_key >= 0, timeout_forward, L_first
 
 
 _POOL_STATE: dict = {}

@@ -118,6 +118,7 @@ class _Consumer:
 class ProfileAccumulator(_Consumer):
     def __init__(self, dmap: DistanceMap):
         self.dmap = dmap
+        self.reachable = dmap.dist != UNREACHABLE
         self.counts = dmap.counts()
         self.dmax = self.counts.size - 1
         self.runs = 0
@@ -128,7 +129,7 @@ class ProfileAccumulator(_Consumer):
         self._add_reached(trace.received)
 
     def _add_reached(self, reached: np.ndarray) -> None:
-        mask = reached & (self.dmap.dist != UNREACHABLE)
+        mask = reached & self.reachable
         frac = np.bincount(self.dmap.dist[mask], minlength=self.dmax + 1) / self.counts
         self.runs += 1
         self.sum += frac

@@ -5,6 +5,14 @@ only dispatches.  Graphs are immutable once built: CSR adjacency with sorted,
 duplicate-free neighbor lists, plus optional 2D coordinates (meters) for
 geometric graphs.
 
+Neighbor gathers read a padded-row (ELLPACK) table beside the CSR arrays:
+row v of the (n + 1) x max-degree table lists v's neighbors in CSR order and
+pads the rest with the sink id n, and row n holds only sinks.  One fancy
+index then gathers a whole frontier, and callers give their per-node arrays
+one extra slot for the sink.  A graph whose table would hold more than
+TABLE_MAX_RATIO times its CSR entries (a star needs O(n^2)) keeps no table,
+and its gathers expand CSR ranges, with no sink.
+
 Mesh constructions (each regular away from the boundary):
   degree 4 -- plain grid, node (r, c) adjacent to (r+-1, c) and (r, c+-1);
   degree 6 -- grid plus one fixed diagonal (r, c)-(r+1, c+1);
@@ -23,6 +31,11 @@ from .rng import unit_uniforms
 from .textio import open_text, write_rows
 
 UNREACHABLE = -1
+# Largest table kept, in multiples of the CSR entries n + 1 + 2m.  Widened
+# with sink columns, a table broke even with CSR gathers at 1.4x (300x300
+# grid) and 2.1x (10,000-node RGG), with large frontiers, and at 4-6x on 100-
+# and 1,000-node RGGs; the canned graphs read 0.8-2.1.
+TABLE_MAX_RATIO = 3
 
 
 @dataclass(frozen=True)
@@ -67,9 +80,10 @@ TopologySpec = Union[Grid, RegularMesh, RandomGeometric]
 
 
 class Graph:
-    """Undirected graph with sorted neighbor lists, stored in CSR form."""
+    """Undirected graph with sorted neighbor lists, stored in CSR form, and
+    the sink-padded neighbor `table` (None past TABLE_MAX_RATIO)."""
 
-    __slots__ = ("n", "indptr", "indices", "indices_intp", "degrees", "coords")
+    __slots__ = ("n", "indptr", "indices", "degrees", "table", "coords")
 
     def __init__(self, n: int, edges: np.ndarray, coords: Optional[np.ndarray] = None):
         """Build from an (m, 2) array of undirected edges in any order, each given
@@ -91,14 +105,21 @@ class Graph:
         self.n = int(n)
         self.degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)
         self.indptr = np.concatenate([[0], np.cumsum(self.degrees)]).astype(np.int64)
-        self.indices_intp = (key % n).astype(np.intp, copy=False)  # index-ready for gather_neighbors
-        self.indices = self.indices_intp.astype(np.int32)
+        dst = key % n
+        self.indices = dst.astype(np.int32)
+        width = int(self.degrees.max())
+        self.table = None
+        if (n + 1) * width <= TABLE_MAX_RATIO * (n + 1 + dst.size):
+            self.table = np.full((n + 1, width), n, dtype=np.intp)
+            # row-major fill: each row's first degree slots take its CSR run
+            self.table[:n][np.arange(width) < self.degrees[:, None]] = dst
         if coords is not None:
             coords = np.asarray(coords, dtype=np.float64).reshape(n, 2)
             coords.flags.writeable = False
         self.coords = coords
-        for arr in (self.indptr, self.indices, self.indices_intp, self.degrees):
-            arr.flags.writeable = False
+        for arr in (self.indptr, self.indices, self.degrees, self.table):
+            if arr is not None:
+                arr.flags.writeable = False
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
@@ -142,16 +163,21 @@ def _expand(ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def gather_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated neighbor lists of `nodes`.
+    """Concatenated (sink-padded) neighbor lists of `nodes`.
 
     Returns (targets, senders), both intp: `targets[j]` is a neighbor of
-    `senders[j]`, in the order of `nodes` and then CSR order.
+    `senders[j]` or the sink id g.n, in the order of `nodes` and then CSR
+    order.  With a table each node gets max-degree entries, its neighbors then
+    sinks; without one there are no sinks.  Either way each real pair comes
+    once per occurrence of its sender in `nodes`.
     """
     nodes = np.asarray(nodes, dtype=np.intp)
+    if g.table is not None:
+        return g.table[nodes].ravel(), nodes.repeat(g.table.shape[1])
     if not nodes.size:
-        return np.array([], dtype=np.intp), np.array([], dtype=np.intp)
+        return nodes[:0], nodes[:0]
     lens = g.degrees[nodes]
-    return g.indices_intp[_expand(g.indptr[1:][nodes], lens)], nodes.repeat(lens)
+    return g.indices[_expand(g.indptr[1:][nodes], lens)].astype(np.intp), nodes.repeat(lens)
 
 
 def grid_index(rows: int, cols: int, r: int, c: int) -> int:
@@ -255,8 +281,9 @@ def _distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
 
 def _levels(g: Graph, sources: np.ndarray, radius: Optional[int]) -> np.ndarray:
     """Hops from the nearest of `sources`, UNREACHABLE beyond `radius` (None: no bound)."""
-    level = np.full(g.n, UNREACHABLE, dtype=np.int32)
+    level = np.full(g.n + 1, UNREACHABLE, dtype=np.int32)
     level[sources] = 0
+    level[g.n] = 0  # the sink is never new
     slot = np.empty(g.n, dtype=np.intp)
     frontier = sources
     d = 0
@@ -265,7 +292,7 @@ def _levels(g: Graph, sources: np.ndarray, radius: Optional[int]) -> np.ndarray:
         frontier = _distinct(targets[level[targets] == UNREACHABLE], slot)
         d += 1
         level[frontier] = d
-    return level
+    return level[: g.n]
 
 
 def hop_distances(g: Graph, source: int) -> DistanceMap:

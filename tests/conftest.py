@@ -5,7 +5,6 @@ from gossipsim import Gossip2, Gossip3, Graph, engine
 from gossipsim.engine import _NO_KEY
 from gossipsim.protocols import ProtocolSpec
 from gossipsim.rng import unit_uniforms
-from gossipsim.topology import gather_neighbors
 
 
 def random_graph(n: int, edge_prob: float, seed: int, coords: bool = False) -> Graph:
@@ -19,6 +18,16 @@ def random_graph(n: int, edge_prob: float, seed: int, coords: bool = False) -> G
         u = unit_uniforms(seed + 1, np.arange(2 * n, dtype=np.int64))
         xy = np.column_stack([u[0::2] * 100.0, u[1::2] * 100.0])
     return Graph(n, pairs, xy)
+
+
+def csr_gather(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, senders) read from the CSR arrays alone, with no sink: the
+    reference gather, independent of the layout `gather_neighbors` reads."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    lens = g.degrees[nodes]
+    offsets = np.repeat(g.indptr[nodes] - np.cumsum(lens) + lens, lens)
+    positions = offsets + np.arange(int(lens.sum()))
+    return g.indices[positions].astype(np.intp), np.repeat(nodes, lens)
 
 
 def keyed_execution(g: Graph, source: int, spec, seed: int):
@@ -95,7 +104,7 @@ def _keyed_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) 
         batches = sends.pop(t, None)
         if batches:
             senders = batches[0] if len(batches) == 1 else np.concatenate(batches)
-            targets, snd = gather_neighbors(g, senders)
+            targets, snd = csr_gather(g, senders)
             if is_g3:
                 np.add.at(copies, targets, 1)
             fresh = np.flatnonzero(receive_round[targets] == -1)

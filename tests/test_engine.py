@@ -20,7 +20,8 @@ from gossipsim import (
     iter_batch,
     run_execution,
 )
-from gossipsim import engine
+from gossipsim import engine, topology
+from gossipsim.topology import ball_distances, zone_levels
 from gossipsim.rng import child_seed, unit_uniforms
 
 from conftest import keyed_execution, line_graph, random_graph
@@ -336,6 +337,50 @@ def test_lean_loop_long_path_under_flooding(monkeypatch):
     assert tr.parent[0] == -1 and np.array_equal(tr.parent[1:], np.arange(n - 1))
     assert tr.broadcast_count == n
     assert tr.same_outcome(keyed_execution(g, 0, FLOODING, 9))
+
+
+def _graphs_with_layout(monkeypatch, ratio: float) -> list:
+    """Test graphs built with the table size bound set to `ratio`."""
+    monkeypatch.setattr(topology, "TABLE_MAX_RATIO", ratio)
+    isolated = Graph(6, np.array([[1, 2], [2, 3], [3, 4]]))  # nodes 0 and 5 alone
+    star = Graph(30, np.column_stack([np.zeros(29, dtype=np.int64), np.arange(1, 30)]))
+    return [random_graph(40, 0.1, 5), random_graph(25, 0.3, 8), isolated, star, line_graph(12)]
+
+
+def test_layouts_give_equal_traces_and_gather_calls(monkeypatch):
+    # every spec on each graph, table forced on (bound inf) and off (bound 0):
+    # equal traces, equal gather calls, and the sink id n in no output
+    specs = [FLOODING, Gossip1(0.6, 1), Gossip2(0.3, 1, 0.9, 4), Gossip3(0.5, 1, 0, 2),
+             Gossip3(0.4, 1, 1, 2), Gossip3(0.3, 0, 2, 1), Gossip4(0.6, 1, 2)]
+    outcomes = {}
+    for ratio in (float("inf"), 0):
+        graphs = _graphs_with_layout(monkeypatch, ratio)
+        assert all((g.table is not None) == (ratio > 0) for g in graphs)
+        calls = []
+        gather = engine.gather_neighbors
+        monkeypatch.setattr(engine, "gather_neighbors", lambda *a: calls.append(1) or gather(*a))
+        runs = []
+        for g in graphs:
+            for spec in specs:
+                for seed in range(8):
+                    calls.clear()
+                    tr = run_execution(g, seed % g.n, spec, seed)
+                    for name in engine._ARRAY_FIELDS:
+                        assert getattr(tr, name).shape == (g.n,), name
+                    assert tr.parent.max() < g.n
+                    runs.append((tr, len(calls)))
+            dm = hop_distances(g, 0)
+            nodes, dists = ball_distances(g, 0, 2)
+            level = zone_levels(g, tr.received, 2)
+            assert dm.dist.shape == level.shape == (g.n,) and nodes.max() < g.n
+            runs.append((dm.dist, nodes, dists, level))
+        monkeypatch.setattr(engine, "gather_neighbors", gather)
+        outcomes[ratio] = runs
+    for a, b in zip(outcomes[float("inf")], outcomes[0]):
+        if isinstance(a[0], engine.ExecutionTrace):
+            assert a[0].same_outcome(b[0]) and a[1] == b[1]
+        else:
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 # SHA-256 of seeds 0-4 of every (graph, protocol) pair, recorded before the

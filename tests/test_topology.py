@@ -19,9 +19,10 @@ from gossipsim import (
     save_edgelist,
 )
 from gossipsim.rng import unit_uniforms
+from gossipsim import topology
 from gossipsim.topology import ball_distances, gather_neighbors, zone_levels
 
-from conftest import random_graph
+from conftest import csr_gather, random_graph
 
 
 def test_grid_20x50_shape():
@@ -168,9 +169,8 @@ def test_graph_matches_sorted_adjacency_reference(n, data):
     assert g.n == n
     assert g.indptr.dtype == np.int64 and g.indptr.tolist() == indptr
     assert g.indices.dtype == np.int32 and g.indices.tolist() == indices
-    assert g.indices_intp.dtype == np.intp and g.indices_intp.tolist() == indices
     assert g.degrees.dtype == np.int64 and g.degrees.tolist() == degrees
-    for arr in (g.indptr, g.indices, g.indices_intp, g.degrees):
+    for arr in (g.indptr, g.indices, g.degrees):
         assert not arr.flags.writeable
     assert g.edges().tolist() == [list(e) for e in sorted(chosen)]
 
@@ -283,19 +283,78 @@ def test_ball_distances():
     assert list(nodes0) == [center] and list(dists0) == [0]
 
 
+def _real_pairs(g, targets, senders) -> list:
+    """(target, sender) pairs of a gather, its sink entries dropped."""
+    keep = targets != g.n
+    return list(zip(targets[keep].tolist(), senders[keep].tolist()))
+
+
 def test_gather_neighbors_contract():
-    # node 4 has no neighbours; frontiers may repeat nodes and come unsorted
+    # node 4 has no neighbours; frontiers may repeat nodes and come unsorted.
+    # Each node takes max-degree (2) entries: its neighbours in CSR order,
+    # then the sink id n = 5; row n holds only sinks.
     g = Graph(5, np.array([[0, 1], [0, 2], [1, 3]]))
+    assert g.table.dtype == np.intp and not g.table.flags.writeable
+    assert g.table.tolist() == [[1, 2], [0, 3], [0, 5], [1, 5], [5, 5], [5, 5]]
     for nodes in ([], [4], [4, 4], [0], [3, 0, 0, 4, 1], [1, 1], [2, 4, 2]):
         targets, senders = gather_neighbors(g, np.array(nodes, dtype=np.int64))
         assert targets.dtype == senders.dtype == np.intp
-        assert targets.tolist() == [int(v) for u in nodes for v in g.neighbors(u)]
-        assert senders.tolist() == [u for u in nodes for _ in g.neighbors(u)]
+        assert targets.tolist() == [v for u in nodes for v in g.table[u].tolist()]
+        assert senders.tolist() == [u for u in nodes for _ in range(2)]
+        assert _real_pairs(g, targets, senders) == [(int(v), u) for u in nodes for v in g.neighbors(u)]
     g = random_graph(40, 0.1, 11)
     nodes = np.array([7, 3, 3, 39, 0, 7], dtype=np.int64)
     targets, senders = gather_neighbors(g, nodes)
-    assert np.array_equal(targets, np.concatenate([g.neighbors(u) for u in nodes]))
-    assert np.array_equal(senders, np.repeat(nodes, g.degrees[nodes]))
+    keep = targets != g.n
+    assert np.array_equal(targets[keep], np.concatenate([g.neighbors(u) for u in nodes]))
+    assert np.array_equal(senders[keep], np.repeat(nodes, g.degrees[nodes]))
+    # a graph with no edges has a table with no columns
+    g = Graph(3, np.zeros((0, 2), dtype=np.int64))
+    assert g.table.shape == (4, 0)
+    targets, senders = gather_neighbors(g, np.array([2, 0]))
+    assert targets.size == senders.size == 0 and targets.dtype == senders.dtype == np.intp
+
+
+def _star(n: int) -> Graph:
+    return Graph(n, np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]))
+
+
+def test_table_kept_up_to_its_size_bound():
+    # a star's table holds (n + 1)(n - 1) entries against 3n - 1 in CSR
+    n = next(n for n in range(2, 1000) if (n + 1) * (n - 1) > topology.TABLE_MAX_RATIO * (3 * n - 1))
+    assert _star(n - 1).table is not None and _star(n).table is None
+    for spec in (Grid(300, 300), RegularMesh(6, 20, 50), RandomGeometric(10000, 23717, 9487, 250, 28)):
+        assert build_topology(spec).table is not None, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gather_neighbors_matches_python_adjacency(data):
+    # both layouts against plain Python lists: every real (target, sender)
+    # pair once per occurrence of the sender, in frontier order and then CSR
+    # order; a table gather adds exactly max-degree - degree sinks per sender
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted(data.draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else []
+    else:  # stars past the table's size bound take the CSR path
+        lo = 3 * topology.TABLE_MAX_RATIO + 4
+        n = data.draw(st.integers(min_value=lo, max_value=lo + 40))
+        edges = [(0, v) for v in range(1, n)]
+    g = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    nodes = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3 * n))
+    targets, senders = gather_neighbors(g, np.array(nodes, dtype=np.int64))
+    assert targets.dtype == senders.dtype == np.intp and targets.size == senders.size
+    assert _real_pairs(g, targets, senders) == [(v, u) for u in nodes for v in sorted(adj[u])]
+    if g.table is None:
+        assert g.n not in targets
+    else:
+        width = max((len(a) for a in adj), default=0)
+        assert senders.tolist() == [u for u in nodes for _ in range(width)]
 
 
 # The two bounded BFS loops that zone_levels replaced, kept as its reference.
@@ -305,7 +364,7 @@ def _reference_zone_covered(g, received, zone_radius):
     for _ in range(zone_radius):
         if not frontier.size:
             break
-        targets, _ = gather_neighbors(g, frontier)
+        targets, _ = csr_gather(g, frontier)
         fresh = np.unique(targets[~covered[targets]])
         covered[fresh] = True
         frontier = fresh
@@ -319,7 +378,7 @@ def _reference_zone_unicast_count(g, received, zone_radius):
     for d in range(1, zone_radius + 1):
         if not frontier.size:
             break
-        targets, _ = gather_neighbors(g, frontier)
+        targets, _ = csr_gather(g, frontier)
         fresh = np.unique(targets[level[targets] == -1])
         level[fresh] = d
         total += int(fresh.size) * d
