@@ -105,7 +105,7 @@ class Graph:
         self.n = int(n)
         self.degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)
         self.indptr = np.concatenate([[0], np.cumsum(self.degrees)]).astype(np.int64)
-        dst = key % n
+        dst = np.remainder(key, n, out=key)  # in place: the build's peak holds no extra copy
         self.indices = dst.astype(np.int32)
         width = int(self.degrees.max())
         self.table = None
