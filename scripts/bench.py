@@ -52,7 +52,7 @@ TRACED_SECONDS = 5
 # 3 runs the inclusive q3 - q1 is half the range, too narrow to rule out drift
 TRACED_RUNS = 7
 TRACED_METRICS = ("engine.us_per_round", "engine.self_s", "topology.gather_s", "topology.build_s",
-                  "topology.bfs_s")
+                  "topology.bfs_s", "rng.draw_s", "metrics.add_s.zone_coverage")
 TIER1_COMMAND = ("-m", "pytest", "-q", "-rf", "--continue-on-collection-errors", "--durations=15")
 
 

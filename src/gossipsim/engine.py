@@ -14,7 +14,8 @@ of the execution seed, so a trace is a pure function of
 (graph, source, spec, seed) regardless of traversal order.
 
 Only Gossip3 with m > 0 takes the key-based round loop.  Each round the
-nodes that first received in the round before decide; a decliner is checked
+nodes that first received in the round before decide: before round k all
+send (their hops are below k), later on their draw; a decliner is checked
 timeout_rounds rounds after its receipt, and if it is due a timeout it joins
 the next round's senders, so its only send comes timeout_rounds + 1 rounds
 after receipt.  Its key per node is hop * (n + 1) + parent, with the receive
@@ -168,7 +169,6 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
     n = g.n
     stride = n + 1
     coin = draws < spec.p
-    zone = spec.k * stride  # the keys of hops below k
     # first[v] = hop * (n + 1) + parent of v's first copy; send_key[u] is the
     # key u's broadcast gives its receivers, -1 until u sends
     first = np.full(n, _NO_KEY, dtype=np.int64)
@@ -189,10 +189,12 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
     while True:
         senders = late
         if fresh.size:
-            go = coin[fresh] | (first[fresh] < zone)
-            if not go.all():
-                checks[t + spec.timeout_rounds] = fresh[~go]
-            senders = np.concatenate((fresh[go], late)) if late.size else fresh[go]
+            if t >= spec.k:  # hop < k exactly when the receive round t < k
+                go = coin[fresh]
+                if not go.all():
+                    checks[t + spec.timeout_rounds] = fresh[~go]
+                fresh = fresh[go]
+            senders = np.concatenate((fresh, late)) if late.size else fresh
         # copies now holds every delivery through round t; a timeout is due
         # with fewer than m copies beyond the first
         cand = checks.pop(t, None)

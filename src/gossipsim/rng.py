@@ -38,12 +38,16 @@ def child_seed(seed: int, index: int) -> int:
 
 def child_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized `child_seed` over an array of stream indices."""
-    x = np.uint64(seed & _MASK) + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
-    x ^= x >> np.uint64(30)
+    x = indices.astype(np.uint64)  # a copy, mixed in place: `indices` is left as it is
+    x += np.uint64(1)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(seed & _MASK)
+    tmp = np.empty_like(x)  # one temporary serves the three shifts
+    x ^= np.right_shift(x, np.uint64(30), out=tmp)
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=tmp)
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
     return x
 
 

@@ -7,11 +7,12 @@ geometric graphs.
 
 Neighbor gathers read a padded-row (ELLPACK) table beside the CSR arrays:
 row v of the (n + 1) x max-degree table lists v's neighbors in CSR order and
-pads the rest with the sink id n, and row n holds only sinks.  One fancy
-index then gathers a whole frontier, and callers give their per-node arrays
-one extra slot for the sink.  A graph whose table would hold more than
-TABLE_MAX_RATIO times its CSR entries (a star needs O(n^2)) keeps no table,
-and its gathers expand CSR ranges, with no sink.
+pads the rest with the sink id n, and row n holds only sinks.  One row
+gather, `table.take(nodes, axis=0)`, then gathers a whole frontier, and
+callers give their per-node arrays one extra slot for the sink.  A graph
+whose table would hold more than TABLE_MAX_RATIO times its CSR entries (a
+star needs O(n^2)) keeps no table, and its gathers expand CSR ranges, with
+no sink.
 
 Mesh constructions (each regular away from the boundary):
   degree 4 -- plain grid, node (r, c) adjacent to (r+-1, c) and (r, c+-1);
@@ -32,10 +33,15 @@ from .textio import open_text, write_rows
 
 UNREACHABLE = -1
 # Largest table kept, in multiples of the CSR entries n + 1 + 2m.  Widened
-# with sink columns, a table broke even with CSR gathers at 1.4x (300x300
-# grid) and 2.1x (10,000-node RGG), with large frontiers, and at 4-6x on 100-
-# and 1,000-node RGGs; the canned graphs read 0.8-2.1.
+# with sink columns, a table gathered by `take` broke even with CSR gathers
+# at about 2.6x on the 300x300 grid (2.4-3.2 over two runs) and 3.1x on the
+# 10,000-node RGG, with large frontiers, and above 4x on 100- and 1,000-node
+# RGGs; the canned graphs read 0.8-2.1.
 TABLE_MAX_RATIO = 3
+# Edge keys in at most this many ascending runs sort stable (timsort merges
+# runs): 1.5 against 4.7 ms default on the 300x300 grid's 4 runs, but 1.7x on 8
+# runs of random keys and 10x on the 10,000-node RGG's 42,619 runs.
+_STABLE_MAX_RUNS = 4
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,8 @@ class Graph:
         # One key src * n + dst per directed edge, sorted in place, is the CSR
         # order (n * n fits in int64 for every n below 3 * 10**9).
         key = np.concatenate([u * n + v, v * n + u])
-        key.sort()
+        descents = np.count_nonzero(key[1:] < key[:-1])  # ascending runs - 1
+        key.sort(kind="stable" if descents < _STABLE_MAX_RUNS else None)
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
         self.n = int(n)
@@ -173,7 +180,8 @@ def gather_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     nodes = np.asarray(nodes, dtype=np.intp)
     if g.table is not None:
-        return g.table[nodes].ravel(), nodes.repeat(g.table.shape[1])
+        # the method form of take: a row gather without fancy indexing's setup
+        return g.table.take(nodes, axis=0).ravel(), nodes.repeat(g.table.shape[1])
     if not nodes.size:
         return nodes[:0], nodes[:0]
     lens = g.degrees[nodes]

@@ -78,6 +78,10 @@ def test_trace_invariants(params, spec, seed):
     # non-receivers carry empty fields
     for v in np.flatnonzero(~tr.received):
         assert tr.receive_round[v] == -1 and tr.hop[v] == -1 and tr.parent[v] == -1
+    # every node below hop k sends in the round after receipt, so the hops
+    # below k are the receive rounds below k (the keyed loop decides by round)
+    got = tr.received
+    assert np.array_equal(tr.hop[got] < spec.k, tr.receive_round[got] < spec.k)
 
 
 @settings(max_examples=150, deadline=None)

@@ -23,6 +23,17 @@ def test_vectorized_matches_scalar():
     assert int(vec[999]) == child_seed(987654321, 999)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_vectorized_matches_scalar_at_the_extremes(seed, dtype):
+    top = 2**31 - 1 if dtype == np.int32 else 2**40
+    indices = np.array([0, 1, 2, 12345, top - 1, top], dtype=dtype)
+    before = indices.copy()
+    assert [int(x) for x in child_seeds(seed, indices)] == [child_seed(seed, int(i)) for i in indices]
+    assert np.array_equal(indices, before) and indices.dtype == dtype  # mixed in a copy
+    assert list(unit_uniforms(seed, indices)) == [(child_seed(seed, int(i)) >> 11) * 2.0**-53 for i in indices]
+
+
 def test_unit_uniforms_range_and_mean():
     u = unit_uniforms(7, np.arange(200_000, dtype=np.int64))
     assert u.min() >= 0.0 and u.max() < 1.0

@@ -299,6 +299,7 @@ def test_gather_neighbors_contract():
     for nodes in ([], [4], [4, 4], [0], [3, 0, 0, 4, 1], [1, 1], [2, 4, 2]):
         targets, senders = gather_neighbors(g, np.array(nodes, dtype=np.int64))
         assert targets.dtype == senders.dtype == np.intp
+        assert targets.ndim == 1 and targets.flags.c_contiguous
         assert targets.tolist() == [v for u in nodes for v in g.table[u].tolist()]
         assert senders.tolist() == [u for u in nodes for _ in range(2)]
         assert _real_pairs(g, targets, senders) == [(int(v), u) for u in nodes for v in g.neighbors(u)]
