@@ -22,7 +22,9 @@ side goes first); the record keeps, under `traced`, every run's checks and
 exact engine counts, the median and quartiles of each layer metric named in
 TRACED_METRICS, whether each of those moves is resolved by the same rule as
 the end-to-end metrics, and whether both sides' engine counts are equal seed
-by seed (a traced run that fails is kept like a failed untimed run).
+by seed, leaving out the pickled bytes (`pool_bytes`), which
+`engine.pool.bytes` reports (a traced run that fails is kept like a failed
+untimed run).
 
 Last, each side runs the Tier-1 suite once, parent first, with
 `--durations=15` (TIER1_COMMAND, with `src` prepended to PYTHONPATH).  The
@@ -52,7 +54,8 @@ TRACED_SECONDS = 5
 # 3 runs the inclusive q3 - q1 is half the range, too narrow to rule out drift
 TRACED_RUNS = 7
 TRACED_METRICS = ("engine.us_per_round", "engine.self_s", "topology.gather_s", "topology.build_s",
-                  "topology.bfs_s", "rng.draw_s", "metrics.add_s.zone_coverage")
+                  "topology.bfs_s", "rng.draw_s", "metrics.add_s.zone_coverage",
+                  "engine.pool.bytes", "engine.pool.wait_s")
 TIER1_COMMAND = ("-m", "pytest", "-q", "-rf", "--continue-on-collection-errors", "--durations=15")
 
 
@@ -139,6 +142,14 @@ def traced_summary(results: list) -> dict:
     return summary
 
 
+def simulation_counts(result: dict):
+    """A traced run's engine counts without `pool_bytes` (None if it has none):
+    the pickled bytes measure transport, not the simulation, and the traced
+    metric engine.pool.bytes reports them."""
+    counts = result.get("engine_counts")
+    return None if counts is None else {k: v for k, v in counts.items() if k != "pool_bytes"}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -210,7 +221,7 @@ def main(argv=None) -> int:
             if all(m in entry["traced"][side] for side in sides)
         }
         entry["traced_engine_counts_equal"] = all(
-            p.get("engine_counts") is not None and p.get("engine_counts") == c.get("engine_counts")
+            p.get("engine_counts") is not None and simulation_counts(p) == simulation_counts(c)
             for p, c in zip(traced["parent"], traced["change"])
         )
         record["workloads"][workload] = entry

@@ -18,18 +18,20 @@ nodes that first received in the round before decide: before round k all
 send (their hops are below k), later on their draw; a decliner is checked
 timeout_rounds rounds after its receipt, and if it is due a timeout it joins
 the next round's senders, so its only send comes timeout_rounds + 1 rounds
-after receipt.  Its key per node is hop * (n + 1) + parent, with the receive
-round and copy counts kept beside it.  Every other spec, Gossip2 included,
-has no timeout: a node sends in the round after its first receipt or never,
-so its hop is its receive round and its parent the lowest-id sender of that
-round.  The lean loop keeps one key, receive round * (n + 1) + parent, per
-node.  A Gossip2 copy from a sender of degree below n_thresh, delivered to a
+after receipt.  Its key per node is hop * (n + 1) + parent, inverted once
+the node has received so that no later copy beats it, with the receive
+round, the node's own send key and its copy count kept beside it.  Every
+other spec, Gossip2 included, has no timeout: a node sends in the round
+after its first receipt or never, so its hop is its receive round and its
+parent the lowest-id sender of that round.  The lean loop keeps one key,
+receive round * (n + 1) + parent, per node.  A Gossip2 copy from a sender of degree below n_thresh, delivered to a
 node in the round it first receives, switches that node's threshold from p1
 to p2 before it decides, which is the OR of boosts.  Both loops decode their
 keys through `_decode` and call `gather_neighbors` once per round that has a
 sender.  A gather may pad its targets with the sink id n (see `topology`), so
-each loop keeps one extra slot that makes the sink never new: the lean loop's
-key -1, the keyed loop's receive round 0.  Every trace array has n entries.
+each loop keeps one extra slot that makes the sink never new: the key -1.
+Every trace array has n entries.  A trace pickled for the process pool
+carries only what cannot be rebuilt (see `ExecutionTrace.__reduce__`).
 """
 
 from __future__ import annotations
@@ -71,9 +73,17 @@ class ExecutionTrace:
         for name in _ARRAY_FIELDS:
             getattr(self, name).flags.writeable = False
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
+    def __reduce__(self):
+        # a pool worker ships only what cannot be rebuilt: `received` is
+        # receive_round >= 0, a lean trace's hop is its receive_round, and the
+        # timeout fields are zero for every spec but gossip3 with m > 0
+        return _rebuild_trace, (
+            self.source, self.protocol, self.seed, self.broadcast_count,
+            self.receive_round, self.parent, np.packbits(self.forwarded),
+            None if self.hop is self.receive_round else self.hop,
+            np.packbits(self.timeout_forward) if self.timeout_forward.any() else None,
+            self.L_at_receipt if self.L_at_receipt.any() else None,
+        )
 
     @property
     def n(self) -> int:
@@ -97,6 +107,27 @@ class ExecutionTrace:
             zip(range(self.n), self.received, self.receive_round, self.hop, self.parent,
                 self.forwarded, self.timeout_forward, self.L_at_receipt),
         )
+
+
+def _rebuild_trace(source, protocol, seed, broadcast_count, receive_round, parent, forwarded,
+                   hop, timeout_forward, L_at_receipt) -> ExecutionTrace:
+    """The trace `ExecutionTrace.__reduce__` shipped, with its derived and zero fields rebuilt."""
+    n = receive_round.size
+
+    def unpack(bits):
+        return np.zeros(n, bool) if bits is None else np.unpackbits(bits, count=n).view(bool)
+
+    return ExecutionTrace(
+        source=source, protocol=protocol, seed=seed,
+        received=receive_round >= 0,
+        receive_round=receive_round,
+        hop=receive_round if hop is None else hop,
+        parent=parent,
+        forwarded=unpack(forwarded),
+        timeout_forward=unpack(timeout_forward),
+        L_at_receipt=np.zeros(n, np.int32) if L_at_receipt is None else L_at_receipt,
+        broadcast_count=broadcast_count,
+    )
 
 
 def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> ExecutionTrace:
@@ -168,16 +199,23 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
 def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tuple:
     n = g.n
     stride = n + 1
+    k = spec.k
     coin = draws < spec.p
-    # first[v] = hop * (n + 1) + parent of v's first copy; send_key[u] is the
-    # key u's broadcast gives its receivers, -1 until u sends
-    first = np.full(n, _NO_KEY, dtype=np.int64)
-    first[source] = 0
-    send_key = np.full(n, -1, dtype=np.int64)
-    receive_round = np.full(n + 1, -1, dtype=np.int32)
-    receive_round[source] = receive_round[n] = 0  # the sink is never new
+    # first[v] = hop * (n + 1) + parent of v's first copy while it arrives,
+    # stored inverted (~key, negative) once v has received, so no later copy
+    # beats it; the sink's ~0 is never new.  out_key[v] is the key v's
+    # broadcast gives its receivers, (hop + 1) * (n + 1) + v
+    first = np.full(n + 1, _NO_KEY, dtype=np.int64)
+    first[source] = first[n] = ~0
+    out_key = np.empty(n, dtype=np.int64)
+    out_key[source] = stride + source
+    receive_round = np.full(n, -1, dtype=np.int32)
+    receive_round[source] = 0
     timeout_forward = np.zeros(n, dtype=bool)
-    L_first = np.zeros(n, dtype=np.int32)
+    # L each node sends (its first copy's L, plus one after a timeout), and
+    # the running maximum of L heard; both stay 0 until the first timeout
+    L_out = np.zeros(n, dtype=np.int32)
+    L_heard = None
     # copies heard, the first one included (the source's start is its own);
     # int64 + intp index: ufunc.at fast path
     copies = np.zeros(n + 1, dtype=np.int64)
@@ -189,7 +227,7 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
     while True:
         senders = late
         if fresh.size:
-            if t >= spec.k:  # hop < k exactly when the receive round t < k
+            if t >= k:  # hop < k exactly when the receive round t < k
                 go = coin[fresh]
                 if not go.all():
                     checks[t + spec.timeout_rounds] = fresh[~go]
@@ -199,27 +237,34 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
         # with fewer than m copies beyond the first
         cand = checks.pop(t, None)
         late = fresh[:0] if cand is None else cand[copies[cand] <= spec.m]
-        timeout_forward[late] = True
+        if late.size:
+            timeout_forward[late] = True
+            L_out[late] += 1  # a timeout forward carries its L plus one
+            if L_heard is None:
+                L_heard = np.zeros(n + 1, dtype=np.int32)
         t += 1
         if senders.size:
-            send_key[senders] = (first[senders] // stride + 1) * stride + senders
             targets, snd = gather_neighbors(g, senders)
             np.add.at(copies, targets, 1)
-            new = np.flatnonzero(receive_round[targets] < 0)
-            nt, snd = targets[new], snd[new]
-            key = send_key[snd]
-            np.minimum.at(first, nt, key)
-            # a timeout forward carries its sender's L plus one
-            np.maximum.at(L_first, nt, L_first[snd] + timeout_forward[snd])
+            key = out_key[snd]
+            np.minimum.at(first, targets, key)
             # (target, sender) pairs are unique in a round: one entry per new receiver wins
-            fresh = nt[first[nt] == key]
+            win = first[targets] == key
+            fresh = targets[win]
+            first[fresh] = ~key[win]
+            out_key[fresh] = key[win] - snd[win] + stride + fresh
             receive_round[fresh] = t
+            if L_heard is not None:
+                np.maximum.at(L_heard, targets, L_out[snd])
+                L_out[fresh] = L_heard[fresh]
         elif late.size or checks:
             fresh = fresh[:0]
         else:
             break
-    received, hop, parent = _decode(first, source)
-    return received, receive_round[:n], hop, parent, send_key >= 0, timeout_forward, L_first
+    np.invert(first, out=first, where=first < 0)
+    received, hop, parent = _decode(first[:n], source)
+    forwarded = received & (coin | (receive_round < k) | timeout_forward)
+    return received, receive_round, hop, parent, forwarded, timeout_forward, L_out - timeout_forward
 
 
 _POOL_STATE: dict = {}
