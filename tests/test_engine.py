@@ -110,18 +110,17 @@ def test_flooding_batch_identical_coverage(grid20x50):
         assert tr.received.all() and tr.broadcast_count == grid20x50.n
 
 
-@pytest.mark.parametrize("spec", [Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip3(0.5, 1, 1, 2)])
-def test_workers_do_not_change_results(grid20x50, spec):
-    seq = list(iter_batch(grid20x50, 0, spec, 8, 2024, workers=1))
-    par = list(iter_batch(grid20x50, 0, spec, 8, 2024, workers=2))
-    for a, b in zip(seq, par):
-        assert a.same_outcome(b) and (a.seed, a.protocol) == (b.seed, b.protocol)
-        # a pooled trace is as read-only as a local one
-        for name in engine._ARRAY_FIELDS:
-            assert not getattr(b, name).flags.writeable, name
+def test_workers_do_not_change_results(grid20x50):
+    for spec in (Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip3(0.5, 1, 1, 2)):
+        seq = list(iter_batch(grid20x50, 0, spec, 8, 2024, workers=1))
+        par = list(iter_batch(grid20x50, 0, spec, 8, 2024, workers=2))
+        for a, b in zip(seq, par):
+            assert a.same_outcome(b) and (a.seed, a.protocol) == (b.seed, b.protocol), spec
+            # a pooled trace is as read-only as a local one
+            for name in engine._ARRAY_FIELDS:
+                assert not getattr(b, name).flags.writeable, name
     # gossip3 with m > 0 ships its timeout fields through the pool
-    if isinstance(spec, Gossip3):
-        assert any(tr.timeout_forward.any() and tr.L_at_receipt.any() for tr in par)
+    assert any(tr.timeout_forward.any() and tr.L_at_receipt.any() for tr in par)
 
 
 def _round_trip(tr):
@@ -135,10 +134,10 @@ def test_pickle_round_trip_every_protocol():
     single = Graph(1, np.zeros((0, 2), dtype=np.int64))
     isolated = Graph(4, np.array([[1, 2], [2, 3]]))  # node 0 has no neighbours
     specs = [FLOODING, Gossip1(0.6, 1), Gossip2(0.4, 1, 0.9, 4), Gossip4(0.6, 1, 2), Gossip3(0.5, 1, 0, 2),
-             Gossip3(0.4, 1, 1, 2)]
+             Gossip3(0.4, 1, 1, 2), Gossip3(0.0, 0, 1, 2)]
     timed_out = False
     for graph in (g, single, isolated):
-        for spec in specs + [Gossip3(0.0, 0, 1, 2)]:
+        for spec in specs:
             for seed in range(10):
                 tr = run_execution(graph, 0, spec, seed)
                 back, _ = _round_trip(tr)
@@ -159,15 +158,13 @@ def test_pickled_lean_trace_size(grid20x50):
     # receive_round and parent as int32 plus forwarded as bits: at most 9 B a node
     n = grid20x50.n
     for spec in (FLOODING, Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip4(0.6, 1, 2), Gossip3(0.5, 1, 0, 2)):
-        tr = run_execution(grid20x50, 0, spec, 3)
-        back, size = _round_trip(tr)
+        _, size = _round_trip(run_execution(grid20x50, 0, spec, 3))
         assert size <= 9 * n + 1024, (spec, size)
-        assert back.same_outcome(tr)
     # gossip3 with m > 0 also ships hop and, once a node times out, its
     # timeout flags as bits and its L: four int32 arrays and two of bits
     tr = next(t for t in iter_batch(grid20x50, 0, Gossip3(0.5, 1, 1, 2), 8, 2024) if t.timeout_forward.any())
-    back, size = _round_trip(tr)
-    assert back.same_outcome(tr) and size <= 17 * n + 1024
+    _, size = _round_trip(tr)
+    assert size <= 17 * n + 1024
 
 
 def test_pool_size_capped_at_run_count(grid20x50, monkeypatch):
