@@ -10,9 +10,11 @@ per workload and side, every run's end-to-end metrics with their median and
 quartiles, how many runs reported `correct`, and per metric the number of
 pairs the change won (ties count for neither side), and whether the move is
 `resolved`: the two sides' medians differ by more than the parent's quartile
-spread (q3 - q1).  Round i runs both sides with seed 1 + i and
-BENCHMARK.json's run_seconds, so each pair differs only in the checkout.  A run that exits nonzero or prints no result is kept in the
-record with its return code and the tail of its stderr, listed under
+spread (q3 - q1), and the change moved that way in at least RESOLVED_SHARE
+(9/10) of the pairs, ties counting for neither side.  Round i runs both
+sides with seed 1 + i and BENCHMARK.json's run_seconds, so each pair differs
+only in the checkout.  A run that exits nonzero or prints no result is kept
+in the record with its return code and the tail of its stderr, listed under
 `failed_runs`, and left out of the metrics and of the pairs; the script then
 writes the record and exits 1.
 
@@ -20,9 +22,11 @@ After the pairs, each side runs every workload TRACED_RUNS (7) more times
 traced (`--trace 1 --seconds 5`, seeds 1 .. TRACED_RUNS, alternating which
 side goes first); the record keeps, under `traced`, every run's checks and
 exact engine counts, the median and quartiles of each layer metric named in
-TRACED_METRICS, whether each of those moves is resolved by the same rule as
-the end-to-end metrics, and whether both sides' engine counts are equal seed
-by seed, leaving out the pickled bytes (`pool_bytes`), which
+TRACED_METRICS, the seed-matched pairs in which the change read lower
+(`traced_change_wins`; every layer metric is better lower), whether each of
+those moves is resolved by the same rule as the end-to-end metrics, and
+whether both sides' engine counts are equal seed by seed, leaving out the
+pickled bytes (`pool_bytes`), which
 `engine.pool.bytes` reports (a traced run that fails is kept like a failed
 untimed run).
 
@@ -53,6 +57,7 @@ TRACED_SECONDS = 5
 # per side and workload; a layer delta is a median, not one sample, and with
 # 3 runs the inclusive q3 - q1 is half the range, too narrow to rule out drift
 TRACED_RUNS = 7
+RESOLVED_SHARE = 0.9  # of the seed-matched pairs that must move the medians' way
 TRACED_METRICS = ("engine.us_per_round", "engine.self_s", "topology.gather_s", "topology.build_s",
                   "topology.bfs_s", "rng.draw_s", "metrics.add_s.zone_coverage",
                   "engine.pool.bytes", "engine.pool.wait_s")
@@ -120,9 +125,21 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def resolved(parent: dict, change: dict) -> bool:
-    """Whether the medians of two spreads differ by more than the parent's q3 - q1."""
-    return abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+def resolved(parent: dict, change: dict, pairs: list) -> bool:
+    """Whether the medians of two spreads differ by more than the parent's
+    q3 - q1 and the change moved that way in at least RESOLVED_SHARE of the
+    seed-matched (parent value, change value) `pairs`, ties counting for neither."""
+    gap = change["median"] - parent["median"]
+    if not pairs or abs(gap) <= parent["q3"] - parent["q1"]:
+        return False
+    return sum((c - p) * gap > 0 for p, c in pairs) >= RESOLVED_SHARE * len(pairs)
+
+
+def metric_pairs(parent_runs: list, change_runs: list, metric: str) -> list:
+    """(parent value, change value) of `metric` for each round both sides finished."""
+    return [(p["metrics"][metric]["value"], c["metrics"][metric]["value"])
+            for p, c in zip(parent_runs, change_runs)
+            if metric in p.get("metrics", {}) and metric in c.get("metrics", {})]
 
 
 def traced_summary(results: list) -> dict:
@@ -198,25 +215,26 @@ def main(argv=None) -> int:
             }
             if done:
                 entry[side].update({m: spread([r["metrics"][m]["value"] for r in done]) for m in metrics})
-        pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if "metrics" in p and "metrics" in c]
+        pairs = {m: metric_pairs(runs["parent"], runs["change"], m) for m in metrics}
         entry["change_wins"] = {}
         for m, better in metrics.items():
             sign = -1 if better == "lower" else 1
-            deltas = (c["metrics"][m]["value"] - p["metrics"][m]["value"] for p, c in pairs)
-            entry["change_wins"][m] = sum(sign * d > 0 for d in deltas)
+            entry["change_wins"][m] = sum(sign * (c - p) > 0 for p, c in pairs[m])
         if all(m in entry[side] for side in sides for m in metrics):
             entry["median_change_over_parent"] = {
                 m: entry["change"][m]["median"] / entry["parent"][m]["median"] for m in metrics
             }
-            entry["resolved"] = {m: resolved(entry["parent"][m], entry["change"][m]) for m in metrics}
+            entry["resolved"] = {m: resolved(entry["parent"][m], entry["change"][m], pairs[m]) for m in metrics}
         traced = {side: [] for side in sides}
         for j in range(TRACED_RUNS):
             for side in list(sides) if j % 2 == 0 else list(sides)[::-1]:
                 traced[side].append(run_once(sides[side], workload, SEED + j, TRACED_SECONDS, trace=1))
         any_failed |= any("metrics" not in r for runs_ in traced.values() for r in runs_)
         entry["traced"] = {side: traced_summary(runs_) for side, runs_ in traced.items()}
+        traced_pairs = {m: metric_pairs(traced["parent"], traced["change"], m) for m in TRACED_METRICS}
+        entry["traced_change_wins"] = {m: sum(c < p for p, c in traced_pairs[m]) for m in TRACED_METRICS}
         entry["traced_resolved"] = {
-            m: resolved(entry["traced"]["parent"][m], entry["traced"]["change"][m])
+            m: resolved(entry["traced"]["parent"][m], entry["traced"]["change"][m], traced_pairs[m])
             for m in TRACED_METRICS
             if all(m in entry["traced"][side] for side in sides)
         }

@@ -132,14 +132,10 @@ def _rebuild_trace(source, protocol, seed, broadcast_count, receive_round, paren
 
 def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> ExecutionTrace:
     """Simulate one propagation of a route request from `source`."""
-    keyed = isinstance(spec, Gossip3) and spec.m > 0
-    return _execute(g, source, spec, seed, _keyed_rounds if keyed else _lean_rounds)
-
-
-def _execute(g: Graph, source: int, spec: ProtocolSpec, seed: int, loop) -> ExecutionTrace:
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} outside graph of size {g.n}")
     draws = unit_uniforms(seed, np.arange(g.n, dtype=np.int64))
+    loop = _keyed_rounds if isinstance(spec, Gossip3) and spec.m > 0 else _lean_rounds
     arrays = loop(g, source, spec, draws)
     fields = dict(zip(_ARRAY_FIELDS, arrays), source=int(source), protocol=spec, seed=int(seed))
     return ExecutionTrace(**fields, broadcast_count=int(fields["forwarded"].sum()))

@@ -359,10 +359,15 @@ def load_edgelist(path_or_file) -> Graph:
     coords = None
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "c":
-            if coords is None:
-                coords = np.zeros((n, 2), dtype=np.float64)
-            coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
-        else:
-            edges.append((int(parts[0]), int(parts[1])))
+        try:  # `u v` or `c id x y`, with id a node
+            if len(parts) == 4 and parts[0] == "c" and 0 <= int(parts[1]) < n:
+                if coords is None:
+                    coords = np.zeros((n, 2), dtype=np.float64)
+                coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
+            elif len(parts) == 2:
+                edges.append((int(parts[0]), int(parts[1])))
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"bad edge list line: {ln!r}") from None
     return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), coords)

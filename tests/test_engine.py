@@ -26,7 +26,8 @@ from gossipsim import engine, topology
 from gossipsim.topology import ball_distances, zone_levels
 from gossipsim.rng import child_seed, unit_uniforms
 
-from conftest import keyed_execution, line_graph, random_graph
+from conftest import line_graph, random_graph
+from spec import assert_matches_spec
 
 
 def test_flooding_is_bfs(grid20x50):
@@ -307,7 +308,7 @@ def test_loop_choice_by_spec(monkeypatch):
     run_execution(g, 0, Gossip3(0.5, 1, 1, 2), 3)
 
 
-def test_lean_loop_extremes_match_keyed_loop():
+def test_engine_extremes_match_spec():
     single = Graph(1, np.zeros((0, 2), dtype=np.int64))
     # node 0 has no neighbours; 1-2-3 is a path
     isolated = Graph(4, np.array([[1, 2], [2, 3]]))
@@ -329,10 +330,10 @@ def test_lean_loop_extremes_match_keyed_loop():
               (g, 0, Gossip3(0.4, 1, 1, 1)), (g, 0, Gossip3(0.4, 1, 2, 6)), (single, 0, Gossip3(0.5, 0, 1, 3))]
     for graph, source, spec in cases:
         for seed in range(20):
-            lean = run_execution(graph, source, spec, seed)
-            assert lean.same_outcome(keyed_execution(graph, source, spec, seed)), (graph.n, source, spec, seed)
-            for arr in (lean.received, lean.receive_round, lean.hop, lean.parent,
-                        lean.forwarded, lean.timeout_forward, lean.L_at_receipt):
+            tr = run_execution(graph, source, spec, seed)
+            assert_matches_spec(tr, graph)
+            for arr in (tr.received, tr.receive_round, tr.hop, tr.parent,
+                        tr.forwarded, tr.timeout_forward, tr.L_at_receipt):
                 assert not arr.flags.writeable
     # a degree-0 source that forwards broadcasts once and reaches no one
     tr = run_execution(isolated, 0, FLOODING, 1)
@@ -345,13 +346,13 @@ def test_lean_loop_extremes_match_keyed_loop():
     for spec in (Gossip1(0.5, 0), Gossip2(0.5, 0, 0.5, top)):
         tr = run_execution(g, 0, spec, seed)
         assert tr.broadcast_count == 0 and tr.received.sum() == 1
-        assert tr.same_outcome(keyed_execution(g, 0, spec, seed))
+        assert_matches_spec(tr, g)
     # under gossip3 the closed source hears nothing and times out: its copy
     # leaves timeout_rounds + 1 rounds after the start, carrying L = 1
     tr = run_execution(g, 0, Gossip3(0.5, 0, 1, 2), seed)
     assert tr.timeout_forward[0] and set(tr.receive_round[g.neighbors(0)]) == {4}
     assert set(tr.L_at_receipt[g.neighbors(0)]) == {1}
-    assert tr.same_outcome(keyed_execution(g, 0, Gossip3(0.5, 0, 1, 2), seed))
+    assert_matches_spec(tr, g)
 
 
 @pytest.mark.parametrize("spec", [FLOODING, Gossip1(0.6, 1), Gossip2(0.4, 1, 0.9, 4), Gossip3(0.5, 1, 0, 2),
@@ -385,7 +386,7 @@ def test_lean_loop_long_path_under_flooding(monkeypatch):
     assert np.array_equal(tr.receive_round, tr.hop)
     assert tr.parent[0] == -1 and np.array_equal(tr.parent[1:], np.arange(n - 1))
     assert tr.broadcast_count == n
-    assert tr.same_outcome(keyed_execution(g, 0, FLOODING, 9))
+    assert_matches_spec(tr, g)
 
 
 def _graphs_with_layout(monkeypatch, ratio: float) -> list:

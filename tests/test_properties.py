@@ -1,5 +1,8 @@
 """Invariant and oracle checks over randomized graphs and protocols."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +24,8 @@ from gossipsim import (
 )
 from gossipsim.metrics import CoverageAccumulator, ProfileAccumulator
 
-from conftest import keyed_execution, random_graph
+from conftest import random_graph
+from spec import assert_matches_spec, spec_trace
 
 graph_params = st.tuples(
     st.integers(min_value=2, max_value=30),      # nodes
@@ -97,9 +101,9 @@ def test_trace_invariants(params, spec, seed):
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=1, max_value=6),
 )
-def test_lean_loop_matches_keyed_loop(n, gseed, prob, p, k, kind, src, seed, q, small):
-    # every loop of the engine against the reference key-based loop; gossip2
-    # draws p1 <= p2 and n_thresh 1-6, so some senders boost and some do not
+def test_engine_matches_spec(n, gseed, prob, p, k, kind, src, seed, q, small):
+    # both of the engine's loops against the spec; gossip2 draws p1 <= p2 and
+    # n_thresh 1-6, so some senders boost and some do not
     g = random_graph(n, prob, gseed)
     spec = {
         "gossip1": Gossip1(p, k),
@@ -110,8 +114,7 @@ def test_lean_loop_matches_keyed_loop(n, gseed, prob, p, k, kind, src, seed, q, 
         "gossip3 m>0": Gossip3(p, k, 1 + small % 3, small),
     }[kind]
     source = src % n
-    lean = run_execution(g, source, spec, seed)
-    assert lean.same_outcome(keyed_execution(g, source, spec, seed))
+    assert_matches_spec(run_execution(g, source, spec, seed), g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,18 +246,53 @@ def exact_receive_probabilities(g: Graph, source: int, p: float) -> np.ndarray:
     return probs
 
 
-def test_receive_probability_oracle_small_graph():
-    # quick version of the acceptance oracle: 7 nodes, 20k runs, 4 sigma
-    g = random_graph(7, 0.4, 123)
-    p = 0.55
-    exact = exact_receive_probabilities(g, 0, p)
+def spec_receive_probabilities(g: Graph, source: int, spec) -> np.ndarray:
+    """Exact receive probabilities under any protocol, by enumerating each
+    node's draw class through the spec: below p and p or more, or for gossip2
+    below p1, from p1 up to p2, and p2 or more.  A class is represented by its
+    lowest draw and weighted by its width."""
+    cuts = [0.0, spec.p1, spec.p2, 1.0] if isinstance(spec, Gossip2) else [0.0, spec.p, 1.0]
+    classes = [(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    probs = np.zeros(g.n)
+    for combo in itertools.product(classes, repeat=g.n):
+        draws = [draw for draw, _ in combo]
+        probs += math.prod(weight for _, weight in combo) * spec_trace(g, source, spec, draws)["received"]
+    return probs
+
+
+def _monte_carlo_matches(g: Graph, spec, exact: np.ndarray) -> bool:
+    """20,000 runs of `spec` from node 0 agree with `exact` within 4 sigma at every node."""
     runs = 20_000
     hits = np.zeros(g.n)
-    for tr in iter_batch(g, 0, Gossip1(p, 1), runs, 2026):
+    for tr in iter_batch(g, 0, spec, runs, 2026):
         hits += tr.received
-    mc = hits / runs
     se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / runs)
-    assert np.all(np.abs(mc - exact) <= 4 * se + 1e-9)
+    return bool(np.all(np.abs(hits / runs - exact) <= 4 * se + 1e-9))
+
+
+def test_receive_probability_oracle_small_graph():
+    # quick version of the acceptance oracle on its random-11 graph, whose
+    # source reaches every node (a source that reaches no one makes the check vacuous)
+    g = random_graph(11, 0.3, 5)
+    assert np.all(hop_distances(g, 0).dist != UNREACHABLE)
+    p = 0.55
+    assert _monte_carlo_matches(g, Gossip1(p, 1), exact_receive_probabilities(g, 0, p))
+
+
+@pytest.mark.parametrize("n, edge_prob, seed, p", [(11, 0.3, 5, 0.55), (13, 0.25, 7, 0.65), (9, 0.3, 11, 0.3)])
+def test_spec_oracle_matches_percolation_oracle(n, edge_prob, seed, p):
+    # two independent enumerations of gossip1(p, 1)
+    g = random_graph(n, edge_prob, seed)
+    spec_probs = spec_receive_probabilities(g, 0, Gossip1(p, 1))
+    assert np.abs(spec_probs - exact_receive_probabilities(g, 0, p)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [Gossip2(0.3, 1, 0.8, 3), Gossip3(0.4, 1, 1, 2)])
+def test_spec_oracle_monte_carlo(spec):
+    # the exact oracle beyond gossip1: boosts, and timeouts with m > 0
+    g = random_graph(9, 0.3, 11)
+    assert g.degrees[0] > 0
+    assert _monte_carlo_matches(g, spec, spec_receive_probabilities(g, 0, spec))
 
 
 def test_conditional_coverage_independent_of_k():

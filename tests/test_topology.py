@@ -428,6 +428,13 @@ def test_edge_list_roundtrip_no_coords(tmp_path):
     assert np.array_equal(g2.indices, g.indices) and g2.coords is None
 
 
+@pytest.mark.parametrize("line", ["0", "c 0 1", "c 5 1 2", "c -1 1 2", "0 1 7", "c x 1 2", "0 b"])
+def test_edge_list_rejects_malformed_lines(line):
+    # a line is `u v` or `c id x y` with id in 0..n-1; anything else names the line
+    with pytest.raises(ValueError, match=f"bad edge list line: '{line}'"):
+        load_edgelist(io.StringIO(f"n 3\n0 1\n{line}\n"))
+
+
 # (class, args): a spec checks itself when it is built, so a bad one cannot exist
 @pytest.mark.parametrize(
     "spec",
