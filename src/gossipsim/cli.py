@@ -16,7 +16,8 @@ import json
 import sys
 from dataclasses import replace
 
-from .experiments import parse_config, report, run_experiment, write_topology
+from .experiments import parse_config, report, run_experiment
+from .topology import build_topology, save_edgelist
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
             print(report(args.dirs, out_dir=args.out))
             return 0
         cfg = parse_config(args.config)
-        write_topology(cfg, args.out or sys.stdout)
+        save_edgelist(build_topology(cfg.topology), args.out or sys.stdout)
         return 0
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

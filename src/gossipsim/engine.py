@@ -28,8 +28,9 @@ receive round * (n + 1) + parent, per node.  A Gossip2 copy from a sender of deg
 node in the round it first receives, switches that node's threshold from p1
 to p2 before it decides, which is the OR of boosts.  Both loops decode their
 keys through `_decode` and call `gather_neighbors` once per round that has a
-sender.  A gather may pad its targets with the sink id n (see `topology`), so
-each loop keeps one extra slot that makes the sink never new: the key -1.
+sender.  A gather may pad a sender's targets with the sender itself (see
+`topology`): a sender has received, so a pad never beats its key, and the
+copy count and L maximum a pad adds to are never read once a node sends.
 Every trace array has n entries.  A trace pickled for the process pool
 carries only what cannot be rebuilt (see `ExecutionTrace.__reduce__`).
 """
@@ -75,12 +76,12 @@ class ExecutionTrace:
 
     def __reduce__(self):
         # a pool worker ships only what cannot be rebuilt: `received` is
-        # receive_round >= 0, a lean trace's hop is its receive_round, and the
-        # timeout fields are zero for every spec but gossip3 with m > 0
+        # receive_round >= 0, and the timeout fields are zero for every spec
+        # but gossip3 with m > 0; pickle's memo ships a lean trace's hop, its
+        # receive_round array, once and restores it as one array
         return _rebuild_trace, (
             self.source, self.protocol, self.seed, self.broadcast_count,
-            self.receive_round, self.parent, np.packbits(self.forwarded),
-            None if self.hop is self.receive_round else self.hop,
+            self.receive_round, self.parent, np.packbits(self.forwarded), self.hop,
             np.packbits(self.timeout_forward) if self.timeout_forward.any() else None,
             self.L_at_receipt if self.L_at_receipt.any() else None,
         )
@@ -121,7 +122,7 @@ def _rebuild_trace(source, protocol, seed, broadcast_count, receive_round, paren
         source=source, protocol=protocol, seed=seed,
         received=receive_round >= 0,
         receive_round=receive_round,
-        hop=receive_round if hop is None else hop,
+        hop=hop,
         parent=parent,
         forwarded=unpack(forwarded),
         timeout_forward=unpack(timeout_forward),
@@ -165,10 +166,9 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
     else:
         lucky = draws < spec.p
     # first[v] = receive_round * (n + 1) + parent of v's first copy: receivers
-    # of earlier rounds hold smaller keys; the sink's -1 beats every copy
-    first = np.full(n + 1, _NO_KEY, dtype=np.int64)
+    # of earlier rounds, each sender included, hold smaller keys
+    first = np.full(n, _NO_KEY, dtype=np.int64)
     first[source] = 0
-    first[n] = -1
     frontier = np.array([source], dtype=np.intp)
     t = 0
     while True:
@@ -186,7 +186,7 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
             # a boosted copy to a new receiver switches its draw to p2
             hot = targets[(seen >= t * stride) & boosts[snd]]
             lucky[hot] = draws[hot] < spec.p2
-    received, receive_round, parent = _decode(first[:n], source)
+    received, receive_round, parent = _decode(first, source)
     forwarded = received & (lucky | (receive_round < k))
     # hop is the receive round: one array serves both, and pickles once
     return received, receive_round, receive_round, parent, forwarded, np.zeros(n, bool), np.zeros(n, np.int32)
@@ -199,10 +199,10 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
     coin = draws < spec.p
     # first[v] = hop * (n + 1) + parent of v's first copy while it arrives,
     # stored inverted (~key, negative) once v has received, so no later copy
-    # beats it; the sink's ~0 is never new.  out_key[v] is the key v's
-    # broadcast gives its receivers, (hop + 1) * (n + 1) + v
-    first = np.full(n + 1, _NO_KEY, dtype=np.int64)
-    first[source] = first[n] = ~0
+    # beats it.  out_key[v] is the key v's broadcast gives its receivers,
+    # (hop + 1) * (n + 1) + v
+    first = np.full(n, _NO_KEY, dtype=np.int64)
+    first[source] = ~0
     out_key = np.empty(n, dtype=np.int64)
     out_key[source] = stride + source
     receive_round = np.full(n, -1, dtype=np.int32)
@@ -214,7 +214,7 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
     L_heard = None
     # copies heard, the first one included (the source's start is its own);
     # int64 + intp index: ufunc.at fast path
-    copies = np.zeros(n + 1, dtype=np.int64)
+    copies = np.zeros(n, dtype=np.int64)
     copies[source] = 1
     checks: dict[int, np.ndarray] = {}  # check round -> the nodes that declined
     fresh = np.array([source], dtype=np.intp)  # first received in round t
@@ -237,7 +237,7 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
             timeout_forward[late] = True
             L_out[late] += 1  # a timeout forward carries its L plus one
             if L_heard is None:
-                L_heard = np.zeros(n + 1, dtype=np.int32)
+                L_heard = np.zeros(n, dtype=np.int32)
         t += 1
         if senders.size:
             targets, snd = gather_neighbors(g, senders)
@@ -258,7 +258,7 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
         else:
             break
     np.invert(first, out=first, where=first < 0)
-    received, hop, parent = _decode(first[:n], source)
+    received, hop, parent = _decode(first, source)
     forwarded = received & (coin | (receive_round < k) | timeout_forward)
     return received, receive_round, hop, parent, forwarded, timeout_forward, L_out - timeout_forward
 

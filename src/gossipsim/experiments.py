@@ -47,7 +47,6 @@ from .topology import (
     build_topology,
     grid_index,
     hop_distances,
-    save_edgelist,
 )
 
 SCHEMA_VERSION = 1
@@ -493,10 +492,6 @@ def sweep_probability(cfg: ExperimentConfig, out_dir: Optional[str] = None, work
         rows.append((p, acc.consume(batch).theta(cfg.extinction_threshold)))
     rs.results["theta_curve"] = rows
     return _emit(rs, {"theta_curve.csv": lambda path: M.theta_rows_to_csv(path, rows)})
-
-
-def write_topology(cfg: ExperimentConfig, path_or_file) -> None:
-    save_edgelist(build_topology(cfg.topology), path_or_file)
 
 
 def load_manifest(result_dir: str) -> dict:

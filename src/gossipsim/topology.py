@@ -6,13 +6,14 @@ duplicate-free neighbor lists, plus optional 2D coordinates (meters) for
 geometric graphs.
 
 Neighbor gathers read a padded-row (ELLPACK) table beside the CSR arrays:
-row v of the (n + 1) x max-degree table lists v's neighbors in CSR order and
-pads the rest with the sink id n, and row n holds only sinks.  One row
-gather, `table.take(nodes, axis=0)`, then gathers a whole frontier, and
-callers give their per-node arrays one extra slot for the sink.  A graph
-whose table would hold more than TABLE_MAX_RATIO times its CSR entries (a
-star needs O(n^2)) keeps no table, and its gathers expand CSR ranges, with
-no sink.
+row v of the n x max-degree table lists v's neighbors in CSR order and pads
+the rest with v itself.  One row gather, `table.take(nodes, axis=0)`, then
+gathers a whole frontier.  The one rule that makes a pad harmless: every
+caller gathers only nodes it has already reached (an engine sender has
+received, a BFS frontier node has its level), so a pad is never new.  A
+graph whose table would hold more than TABLE_MAX_RATIO times its CSR entries
+(a star needs O(n^2)) keeps no table, and its gathers expand CSR ranges,
+with no pads.
 
 Mesh constructions (each regular away from the boundary):
   degree 4 -- plain grid, node (r, c) adjacent to (r+-1, c) and (r, c+-1);
@@ -33,7 +34,7 @@ from .textio import open_text, write_rows
 
 UNREACHABLE = -1
 # Largest table kept, in multiples of the CSR entries n + 1 + 2m.  Widened
-# with sink columns, a table gathered by `take` broke even with CSR gathers
+# with pad columns, a table gathered by `take` broke even with CSR gathers
 # at about 2.6x on the 300x300 grid (2.4-3.2 over two runs) and 3.1x on the
 # 10,000-node RGG, with large frontiers, and above 4x on 100- and 1,000-node
 # RGGs; the canned graphs read 0.8-2.1.
@@ -87,7 +88,7 @@ TopologySpec = Union[Grid, RegularMesh, RandomGeometric]
 
 class Graph:
     """Undirected graph with sorted neighbor lists, stored in CSR form, and
-    the sink-padded neighbor `table` (None past TABLE_MAX_RATIO)."""
+    the self-padded neighbor `table` (None past TABLE_MAX_RATIO)."""
 
     __slots__ = ("n", "indptr", "indices", "degrees", "table", "coords")
 
@@ -116,10 +117,10 @@ class Graph:
         self.indices = dst.astype(np.int32)
         width = int(self.degrees.max())
         self.table = None
-        if (n + 1) * width <= TABLE_MAX_RATIO * (n + 1 + dst.size):
-            self.table = np.full((n + 1, width), n, dtype=np.intp)
+        if n * width <= TABLE_MAX_RATIO * (n + 1 + dst.size):
+            self.table = np.arange(n, dtype=np.intp).repeat(width).reshape(n, width)
             # row-major fill: each row's first degree slots take its CSR run
-            self.table[:n][np.arange(width) < self.degrees[:, None]] = dst
+            self.table[np.arange(width) < self.degrees[:, None]] = dst
         if coords is not None:
             coords = np.asarray(coords, dtype=np.float64).reshape(n, 2)
             coords.flags.writeable = False
@@ -170,13 +171,13 @@ def _expand(ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def gather_neighbors(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated (sink-padded) neighbor lists of `nodes`.
+    """Concatenated (self-padded) neighbor lists of `nodes`.
 
     Returns (targets, senders), both intp: `targets[j]` is a neighbor of
-    `senders[j]` or the sink id g.n, in the order of `nodes` and then CSR
-    order.  With a table each node gets max-degree entries, its neighbors then
-    sinks; without one there are no sinks.  Either way each real pair comes
-    once per occurrence of its sender in `nodes`.
+    `senders[j]` or, as a pad, the sender itself, in the order of `nodes` and
+    then CSR order.  With a table each node gets max-degree entries, its
+    neighbors then pads; without one there are no pads.  Either way each real
+    pair comes once per occurrence of its sender in `nodes`.
     """
     nodes = np.asarray(nodes, dtype=np.intp)
     if g.table is not None:
@@ -289,9 +290,8 @@ def _distinct(values: np.ndarray, slot: np.ndarray) -> np.ndarray:
 
 def _levels(g: Graph, sources: np.ndarray, radius: Optional[int]) -> np.ndarray:
     """Hops from the nearest of `sources`, UNREACHABLE beyond `radius` (None: no bound)."""
-    level = np.full(g.n + 1, UNREACHABLE, dtype=np.int32)
+    level = np.full(g.n, UNREACHABLE, dtype=np.int32)
     level[sources] = 0
-    level[g.n] = 0  # the sink is never new
     slot = np.empty(g.n, dtype=np.intp)
     frontier = sources
     d = 0
@@ -300,7 +300,7 @@ def _levels(g: Graph, sources: np.ndarray, radius: Optional[int]) -> np.ndarray:
         frontier = _distinct(targets[level[targets] == UNREACHABLE], slot)
         d += 1
         level[frontier] = d
-    return level[: g.n]
+    return level
 
 
 def hop_distances(g: Graph, source: int) -> DistanceMap:
@@ -350,19 +350,18 @@ def save_edgelist(g: Graph, path_or_file) -> None:
 def load_edgelist(path_or_file) -> Graph:
     """Read a graph written by `save_edgelist`; round-trips bit-exactly."""
     with open_text(path_or_file) as f:
-        text = f.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
-        raise ValueError("edge list must start with a 'n <count>' header")
-    n = int(lines[0].split()[1])
+        lines = [ln for ln in f.read().splitlines() if ln.strip()]
+    head = lines[0] if lines else ""
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
+        raise ValueError(f"edge list must start with a 'n <count>' header, not {head!r}")
+    n = int(parts[1])
     edges = []
-    coords = None
+    coords = {}
     for ln in lines[1:]:
         parts = ln.split()
-        try:  # `u v` or `c id x y`, with id a node
-            if len(parts) == 4 and parts[0] == "c" and 0 <= int(parts[1]) < n:
-                if coords is None:
-                    coords = np.zeros((n, 2), dtype=np.float64)
+        try:  # `u v` or `c id x y`, with id a node not given before
+            if len(parts) == 4 and parts[0] == "c" and 0 <= int(parts[1]) < n and int(parts[1]) not in coords:
                 coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
             elif len(parts) == 2:
                 edges.append((int(parts[0]), int(parts[1])))
@@ -370,4 +369,8 @@ def load_edgelist(path_or_file) -> Graph:
                 raise ValueError
         except ValueError:
             raise ValueError(f"bad edge list line: {ln!r}") from None
-    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), coords)
+    if 0 < len(coords) < n:
+        missing = [v for v in range(n) if v not in coords]
+        raise ValueError(f"edge list gives no coordinates for {len(missing)} node(s): {missing[:10]}")
+    xy = np.array([coords[v] for v in range(n)], dtype=np.float64) if coords else None
+    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), xy)

@@ -18,16 +18,6 @@ def random_graph(n: int, edge_prob: float, seed: int, coords: bool = False) -> G
     return Graph(n, pairs, xy)
 
 
-def csr_gather(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, senders) read from the CSR arrays alone, with no sink: the
-    reference gather, independent of the layout `gather_neighbors` reads."""
-    nodes = np.asarray(nodes, dtype=np.intp)
-    lens = g.degrees[nodes]
-    offsets = np.repeat(g.indptr[nodes] - np.cumsum(lens) + lens, lens)
-    positions = offsets + np.arange(int(lens.sum()))
-    return g.indices[positions].astype(np.intp), np.repeat(nodes, lens)
-
-
 def line_graph(n: int) -> Graph:
     edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
     return Graph(n, edges)

@@ -399,7 +399,7 @@ def _graphs_with_layout(monkeypatch, ratio: float) -> list:
 
 def test_layouts_give_equal_traces_and_gather_calls(monkeypatch):
     # every spec on each graph, table forced on (bound inf) and off (bound 0):
-    # equal traces, equal gather calls, and the sink id n in no output
+    # equal traces, equal gather calls, and the id n in no output
     specs = [FLOODING, Gossip1(0.6, 1), Gossip2(0.3, 1, 0.9, 4), Gossip3(0.5, 1, 0, 2),
              Gossip3(0.4, 1, 1, 2), Gossip3(0.3, 0, 2, 1), Gossip4(0.6, 1, 2)]
     outcomes = {}
