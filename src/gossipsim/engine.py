@@ -31,13 +31,20 @@ keys through `_decode` and call `gather_neighbors` once per round that has a
 sender.  A gather may pad a sender's targets with the sender itself (see
 `topology`): a sender has received, so a pad never beats its key, and the
 copy count and L maximum a pad adds to are never read once a node sends.
-Every trace array has n entries.  A trace pickled for the process pool
-carries only what cannot be rebuilt (see `ExecutionTrace.__reduce__`).
+Every trace array has n entries.  A pickled trace carries only what cannot
+be rebuilt (see `ExecutionTrace.__reduce__`), and so does a pooled run: its
+worker writes those arrays into a record of a shared anonymous `mmap`, a
+ring of 2 * workers chunk slots, and the result pipe carries only the run's
+broadcast count and which arrays it wrote.  The parent rebuilds the trace
+from copies of the record through `_rebuild_trace`, as unpickling does, so
+no trace array is unpickled in the pool's result-handler thread.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -75,10 +82,11 @@ class ExecutionTrace:
             getattr(self, name).flags.writeable = False
 
     def __reduce__(self):
-        # a pool worker ships only what cannot be rebuilt: `received` is
-        # receive_round >= 0, and the timeout fields are zero for every spec
-        # but gossip3 with m > 0; pickle's memo ships a lean trace's hop, its
-        # receive_round array, once and restores it as one array
+        # a pickled trace, like a pool's ring record, holds only what cannot
+        # be rebuilt: `received` is receive_round >= 0, and the timeout
+        # fields are zero for every spec but gossip3 with m > 0; pickle's memo
+        # ships a lean trace's hop, its receive_round array, once and
+        # restores it as one array
         return _rebuild_trace, (
             self.source, self.protocol, self.seed, self.broadcast_count,
             self.receive_round, self.parent, np.packbits(self.forwarded), self.hop,
@@ -266,13 +274,56 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
 _POOL_STATE: dict = {}
 
 
-def _pool_init(g: Graph, source: int, spec: ProtocolSpec) -> None:
-    _POOL_STATE["args"] = (g, source, spec)
+def _record_layout(n: int) -> list:
+    """(dtype, start, end) in bytes of each array `ExecutionTrace.__reduce__`
+    ships, in its order, within one run's ring record; the last end is the
+    record's size.  The last three are written only when they are not the
+    lean defaults, so a lean run touches only the first 8n + n/8 bytes."""
+    bits = (n + 7) // 8
+    layout, end = [], 0
+    for dtype, size in ((np.int32, 4 * n), (np.int32, 4 * n), (np.uint8, bits),
+                        (np.int32, 4 * n), (np.uint8, bits), (np.int32, 4 * n)):
+        layout.append((dtype, end, end + size))
+        end += size
+    return layout
 
 
-def _pool_run(seed: int) -> ExecutionTrace:
-    g, source, spec = _POOL_STATE["args"]
-    return run_execution(g, source, spec, seed)
+def _pool_init(g: Graph, source: int, spec: ProtocolSpec, ring: mmap.mmap) -> None:
+    _POOL_STATE["args"] = (g, source, spec, ring, _record_layout(g.n))
+
+
+def _pool_run(first: int, seeds: list) -> list:
+    """Run each seed into ring records first, first + 1, ...; return each
+    run's broadcast count and the bit mask of the record's arrays it wrote."""
+    g, source, spec, ring, layout = _POOL_STATE["args"]
+    size = layout[-1][2]
+    shipped = []
+    for r, seed in enumerate(seeds, first):
+        count, *arrays = run_execution(g, source, spec, seed).__reduce__()[1][3:]
+        if arrays[3] is arrays[0]:
+            arrays[3] = None  # a lean hop is its receive_round
+        wrote = 0
+        for i, (a, (_, start, end)) in enumerate(zip(arrays, layout)):
+            if a is not None:
+                ring[r * size + start:r * size + end] = a
+                wrote |= 1 << i
+        shipped.append((count, wrote))
+    return shipped
+
+
+def _read_records(ring: mmap.mmap, layout: list, first: int, shipped: list, seeds: list,
+                  source: int, spec: ProtocolSpec) -> list:
+    """The traces in ring records first, first + 1, ..., rebuilt from copies."""
+    size = layout[-1][2]
+    traces = []
+    for r, ((count, wrote), seed) in enumerate(zip(shipped, seeds), first):
+        receive_round, parent, forwarded, hop, timeout_forward, L_at_receipt = (
+            np.frombuffer(ring[r * size + start:r * size + end], dtype) if wrote >> i & 1 else None
+            for i, (dtype, start, end) in enumerate(layout)
+        )
+        traces.append(_rebuild_trace(source, spec, seed, count, receive_round, parent, forwarded,
+                                     receive_round if hop is None else hop, timeout_forward, L_at_receipt))
+    return traces
 
 
 def iter_batch(
@@ -286,7 +337,12 @@ def iter_batch(
     """Yield traces for runs 0..runs-1; run i uses seed child(base_seed, i).
 
     Output is identical for any worker count; with workers > 1 a pool of
-    min(workers, runs) processes executes the runs, yielded in run order.
+    min(workers, runs) processes executes the runs in chunks of
+    max(1, runs // (workers * 8)), yielded in run order.  A worker writes
+    each run's shipped arrays into a chunk slot of a shared ring and sends
+    back only its broadcast count and which arrays it wrote; chunk j + depth
+    is submitted once chunk j is copied out, so at most depth = 2 * workers
+    chunks, each run at most 16n + 2 * ceil(n / 8) bytes, are in flight.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -295,7 +351,25 @@ def iter_batch(
     if workers <= 1:
         yield from (run_execution(g, source, spec, s) for s in seeds)
         return
+    chunk = max(1, runs // (workers * 8))
+    firsts = range(0, runs, chunk)
+    depth = min(2 * workers, len(firsts))  # chunks in flight, one ring slot each
+    layout = _record_layout(g.n)
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(g, source, spec)) as pool:
-        yield from pool.imap(_pool_run, seeds, chunksize=max(1, runs // (workers * 8)))
+    ring = mmap.mmap(-1, depth * chunk * layout[-1][2])
+    try:
+        with ctx.Pool(workers, initializer=_pool_init, initargs=(g, source, spec, ring)) as pool:
 
+            def submit(j: int):
+                return pool.apply_async(_pool_run, (j % depth * chunk, seeds[firsts[j]:firsts[j] + chunk]))
+
+            pending = deque(submit(j) for j in range(depth))
+            for j, first in enumerate(firsts):
+                traces = _read_records(ring, layout, j % depth * chunk, pending.popleft().get(),
+                                       seeds[first:first + chunk], source, spec)
+                if j + depth < len(firsts):
+                    pending.append(submit(j + depth))
+                yield from traces
+    finally:
+        # the pool's exit has joined its workers, so none writes to the ring any more
+        ring.close()

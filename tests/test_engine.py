@@ -1,5 +1,7 @@
 import hashlib
 import io
+import mmap
+import multiprocessing
 import pickle
 from multiprocessing.reduction import ForkingPickler
 
@@ -112,16 +114,68 @@ def test_flooding_batch_identical_coverage(grid20x50):
 
 
 def test_workers_do_not_change_results(grid20x50):
-    for spec in (Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip3(0.5, 1, 1, 2)):
-        seq = list(iter_batch(grid20x50, 0, spec, 8, 2024, workers=1))
-        par = list(iter_batch(grid20x50, 0, spec, 8, 2024, workers=2))
+    isolated = Graph(6, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [1, 3]]))  # node 5 has no neighbours
+    cases = [
+        (grid20x50, spec, 8, 2) for spec in (Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip3(0.5, 1, 1, 2))
+    ] + [
+        # chunks of 2 runs through a ring of 4 slots, wrapped, the last chunk one run short
+        (grid20x50, FLOODING, 37, 2),
+        (isolated, Gossip3(0.4, 1, 1, 1), 37, 2),
+        # one chunk per worker
+        (grid20x50, Gossip4(0.6, 1, 2), 2, 2),
+        (isolated, Gossip1(0.5, 0), 2, 2),
+    ]
+    for g, spec, runs, workers in cases:
+        seq = list(iter_batch(g, 0, spec, runs, 2024, workers=1))
+        par = list(iter_batch(g, 0, spec, runs, 2024, workers=workers))
+        assert len(par) == runs, (spec, runs)
         for a, b in zip(seq, par):
-            assert a.same_outcome(b) and (a.seed, a.protocol) == (b.seed, b.protocol), spec
-            # a pooled trace is as read-only as a local one
+            assert a.same_outcome(b) and (a.seed, a.protocol) == (b.seed, b.protocol), (spec, runs)
+            # a pooled trace is as read-only as a local one, and a lean one keeps hop as its receive_round
             for name in engine._ARRAY_FIELDS:
                 assert not getattr(b, name).flags.writeable, name
-    # gossip3 with m > 0 ships its timeout fields through the pool
-    assert any(tr.timeout_forward.any() and tr.L_at_receipt.any() for tr in par)
+            assert (b.hop is b.receive_round) == (a.hop is a.receive_round), spec
+        # gossip3 with m > 0 ships its timeout fields through the pool
+        if isinstance(spec, Gossip3):
+            assert any(tr.timeout_forward.any() and tr.L_at_receipt.any() for tr in par), g.n
+
+
+def test_abandoned_pooled_batch_closes_its_ring_after_the_pool(grid20x50, monkeypatch):
+    children_at_close = []
+
+    class RecordingRing(mmap.mmap):
+        def close(self):
+            children_at_close.append(multiprocessing.active_children())
+            super().close()
+
+    monkeypatch.setattr(engine.mmap, "mmap", RecordingRing)
+    spec = Gossip1(0.7, 4)
+    gen = iter_batch(grid20x50, 0, spec, 37, 2024, workers=2)
+    kept = [next(gen), next(gen)]
+    gen.close()  # with chunks still in flight
+    assert children_at_close == [[]]
+    assert multiprocessing.active_children() == []
+    # the yielded traces are copies, readable once the ring is gone
+    seq = list(iter_batch(grid20x50, 0, spec, 2, 2024))
+    assert all(a.same_outcome(b) for a, b in zip(seq, kept))
+
+
+@pytest.mark.parametrize("topology", [None, Grid(300, 300)])
+def test_pool_result_pickles_to_a_few_bytes_per_run(topology, monkeypatch):
+    # the arrays go through the ring; the result pipe carries a count and a mask per run
+    g = random_graph(100, 0.05, 1) if topology is None else build_topology(topology)
+    monkeypatch.setattr(engine, "_POOL_STATE", {})
+    seeds = [child_seed(7, i) for i in range(4)]
+    layout = engine._record_layout(g.n)
+    for spec in (FLOODING, Gossip3(0.5, 1, 1, 2)):
+        ring = mmap.mmap(-1, len(seeds) * layout[-1][2])
+        engine._pool_init(g, 0, spec, ring)
+        shipped = engine._pool_run(0, seeds)
+        assert len(ForkingPickler.dumps(shipped)) <= 16 * len(seeds), (g.n, spec, shipped)
+        back = engine._read_records(ring, layout, 0, shipped, seeds, 0, spec)
+        ring.close()
+        for seed, tr in zip(seeds, back):
+            assert tr.same_outcome(run_execution(g, 0, spec, seed)), (g.n, spec, seed)
 
 
 def _round_trip(tr):
