@@ -34,10 +34,11 @@ copy count and L maximum a pad adds to are never read once a node sends.
 Every trace array has n entries.  A pickled trace carries only what cannot
 be rebuilt (see `ExecutionTrace.__reduce__`), and so does a pooled run: its
 worker writes those arrays into a record of a shared anonymous `mmap`, a
-ring of 2 * workers chunk slots, and the result pipe carries only the run's
-broadcast count and which arrays it wrote.  The parent rebuilds the trace
-from copies of the record through `_rebuild_trace`, as unpickling does, so
-no trace array is unpickled in the pool's result-handler thread.
+ring of 2 * workers slots of at most SLOT_BYTES (one record at least), and
+the pipe carries only the run's broadcast count and which arrays it wrote.
+The parent rebuilds the trace from copies of the record through
+`_rebuild_trace`, as unpickling does, and then releases the slot's pages
+(MADV_REMOVE); no trace array is unpickled in the pool's result thread.
 """
 
 from __future__ import annotations
@@ -81,18 +82,18 @@ class ExecutionTrace:
         for name in _ARRAY_FIELDS:
             getattr(self, name).flags.writeable = False
 
-    def __reduce__(self):
+    def _shipped(self) -> tuple:
         # a pickled trace, like a pool's ring record, holds only what cannot
         # be rebuilt: `received` is receive_round >= 0, and the timeout
         # fields are zero for every spec but gossip3 with m > 0; pickle's memo
         # ships a lean trace's hop, its receive_round array, once and
         # restores it as one array
-        return _rebuild_trace, (
-            self.source, self.protocol, self.seed, self.broadcast_count,
-            self.receive_round, self.parent, np.packbits(self.forwarded), self.hop,
-            np.packbits(self.timeout_forward) if self.timeout_forward.any() else None,
-            self.L_at_receipt if self.L_at_receipt.any() else None,
-        )
+        return (self.broadcast_count, self.receive_round, self.parent, np.packbits(self.forwarded), self.hop,
+                np.packbits(self.timeout_forward) if self.timeout_forward.any() else None,
+                self.L_at_receipt if self.L_at_receipt.any() else None)
+
+    def __reduce__(self):
+        return _rebuild_trace, (self.source, self.protocol, self.seed, *self._shipped())
 
     @property
     def n(self) -> int:
@@ -272,6 +273,7 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
 
 
 _POOL_STATE: dict = {}
+SLOT_BYTES = 8 << 20  # of run records in one ring slot, which holds one record at least
 
 
 def _record_layout(n: int) -> list:
@@ -292,33 +294,33 @@ def _pool_init(g: Graph, source: int, spec: ProtocolSpec, ring: mmap.mmap) -> No
     _POOL_STATE["args"] = (g, source, spec, ring, _record_layout(g.n))
 
 
-def _pool_run(first: int, seeds: list) -> list:
-    """Run each seed into ring records first, first + 1, ...; return each
+def _pool_run(at: int, seeds: list) -> list:
+    """Run each seed into the ring's records from byte `at` on; return each
     run's broadcast count and the bit mask of the record's arrays it wrote."""
     g, source, spec, ring, layout = _POOL_STATE["args"]
     size = layout[-1][2]
     shipped = []
-    for r, seed in enumerate(seeds, first):
-        count, *arrays = run_execution(g, source, spec, seed).__reduce__()[1][3:]
+    for base, seed in zip(range(at, at + len(seeds) * size, size), seeds):
+        count, *arrays = run_execution(g, source, spec, seed)._shipped()
         if arrays[3] is arrays[0]:
             arrays[3] = None  # a lean hop is its receive_round
         wrote = 0
         for i, (a, (_, start, end)) in enumerate(zip(arrays, layout)):
             if a is not None:
-                ring[r * size + start:r * size + end] = a
+                ring[base + start:base + end] = a
                 wrote |= 1 << i
         shipped.append((count, wrote))
     return shipped
 
 
-def _read_records(ring: mmap.mmap, layout: list, first: int, shipped: list, seeds: list,
+def _read_records(ring: mmap.mmap, layout: list, at: int, shipped: list, seeds: list,
                   source: int, spec: ProtocolSpec) -> list:
-    """The traces in ring records first, first + 1, ..., rebuilt from copies."""
+    """The traces in the ring's records from byte `at` on, rebuilt from copies."""
     size = layout[-1][2]
     traces = []
-    for r, ((count, wrote), seed) in enumerate(zip(shipped, seeds), first):
+    for base, (count, wrote), seed in zip(range(at, at + len(seeds) * size, size), shipped, seeds):
         receive_round, parent, forwarded, hop, timeout_forward, L_at_receipt = (
-            np.frombuffer(ring[r * size + start:r * size + end], dtype) if wrote >> i & 1 else None
+            np.frombuffer(ring[base + start:base + end], dtype) if wrote >> i & 1 else None
             for i, (dtype, start, end) in enumerate(layout)
         )
         traces.append(_rebuild_trace(source, spec, seed, count, receive_round, parent, forwarded,
@@ -338,11 +340,11 @@ def iter_batch(
 
     Output is identical for any worker count; with workers > 1 a pool of
     min(workers, runs) processes executes the runs in chunks of
-    max(1, runs // (workers * 8)), yielded in run order.  A worker writes
-    each run's shipped arrays into a chunk slot of a shared ring and sends
-    back only its broadcast count and which arrays it wrote; chunk j + depth
-    is submitted once chunk j is copied out, so at most depth = 2 * workers
-    chunks, each run at most 16n + 2 * ceil(n / 8) bytes, are in flight.
+    max(1, runs // (workers * 8)) runs, cut to fit SLOT_BYTES (one run at least,
+    each at most 16n + 2 * ceil(n / 8) bytes), yielded in run order.  A worker
+    writes each run's shipped arrays into a chunk slot (whole pages) of a shared
+    ring and returns only its broadcast count and which arrays it wrote; chunk j's
+    slot is released once copied out, before chunk j + depth = 2 * workers reuses it.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -351,22 +353,26 @@ def iter_batch(
     if workers <= 1:
         yield from (run_execution(g, source, spec, s) for s in seeds)
         return
-    chunk = max(1, runs // (workers * 8))
+    layout = _record_layout(g.n)
+    chunk = max(1, min(runs // (workers * 8), SLOT_BYTES // layout[-1][2]))
     firsts = range(0, runs, chunk)
     depth = min(2 * workers, len(firsts))  # chunks in flight, one ring slot each
-    layout = _record_layout(g.n)
+    slot = -(-chunk * layout[-1][2] // mmap.PAGESIZE) * mmap.PAGESIZE
     ctx = multiprocessing.get_context("fork")
-    ring = mmap.mmap(-1, depth * chunk * layout[-1][2])
+    ring = mmap.mmap(-1, depth * slot)
     try:
         with ctx.Pool(workers, initializer=_pool_init, initargs=(g, source, spec, ring)) as pool:
 
             def submit(j: int):
-                return pool.apply_async(_pool_run, (j % depth * chunk, seeds[firsts[j]:firsts[j] + chunk]))
+                return pool.apply_async(_pool_run, (j % depth * slot, seeds[firsts[j]:firsts[j] + chunk]))
 
             pending = deque(submit(j) for j in range(depth))
             for j, first in enumerate(firsts):
-                traces = _read_records(ring, layout, j % depth * chunk, pending.popleft().get(),
+                at = j % depth * slot
+                traces = _read_records(ring, layout, at, pending.popleft().get(),
                                        seeds[first:first + chunk], source, spec)
+                if hasattr(mmap, "MADV_REMOVE"):  # frees the slot's shared pages in every process
+                    ring.madvise(mmap.MADV_REMOVE, at, slot)
                 if j + depth < len(firsts):
                     pending.append(submit(j + depth))
                 yield from traces

@@ -43,6 +43,7 @@ TABLE_MAX_RATIO = 3
 # runs): 1.5 against 4.7 ms default on the 300x300 grid's 4 runs, but 1.7x on 8
 # runs of random keys and 10x on the 10,000-node RGG's 42,619 runs.
 _STABLE_MAX_RUNS = 4
+_RGG_BLOCK = 2**16  # candidate pairs an RGG build filters at once: its transient memory
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,14 @@ def _mesh3_edges(rows: int, cols: int) -> np.ndarray:
 
 
 def _rgg(spec: RandomGeometric) -> Graph:
-    n = spec.n
-    u = unit_uniforms(spec.seed, np.arange(2 * n, dtype=np.int64))
+    u = unit_uniforms(spec.seed, np.arange(2 * spec.n, dtype=np.int64))
     coords = np.column_stack([u[0::2] * spec.width, u[1::2] * spec.height])
-    x, y = coords[:, 0], coords[:, 1]
+    return Graph(spec.n, _rgg_pairs(spec, coords[:, 0], coords[:, 1]), coords)
+
+
+def _rgg_pairs(spec: RandomGeometric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (m, 2) pairs of points within the radius, each once; its arrays die on return."""
+    n = spec.n
     r2 = spec.radius * spec.radius
     # Cell list: a pair within `radius` lies in one cell or in two adjacent
     # cells.  The 2**-20 margin keeps that true under rounding in x / side;
@@ -243,21 +248,20 @@ def _rgg(spec: RandomGeometric) -> Graph:
     for offset in (1, rows - 1, rows, rows + 1):
         start.append(np.searchsorted(cell, cell + offset, "left"))
         stop.append(np.searchsorted(cell, cell + offset, "right"))
-    first = np.tile(np.arange(n), 5)
     stop = np.concatenate(stop)
     lens = stop - np.concatenate(start)
-    pieces = []
-    block = max(1, 2**22 // max(int(lens.max()), 1))  # <= 2**22 candidates per block
-    for i in range(0, lens.size, block):
-        part = slice(i, i + block)
-        a = order[np.repeat(first[part], lens[part])]
+    ends = lens.cumsum()
+    pieces, i = [], 0
+    while i < lens.size:  # entries i..j-1: at most _RGG_BLOCK candidates, or one entry
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - lens[i] + _RGG_BLOCK, "right")))
+        part = slice(i, j)
+        a = order[np.repeat(np.arange(i, j) % n, lens[part])]  # entry e is point e % n
         b = order[_expand(stop[part], lens[part])]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        dx = x[lo] - x[hi]
-        dy = y[lo] - y[hi]
-        close = dx * dx + dy * dy <= r2
+        close = np.square(x[lo] - x[hi]) + np.square(y[lo] - y[hi]) <= r2
         pieces.append(np.column_stack([lo[close], hi[close]]))
-    return Graph(n, np.concatenate(pieces), coords)
+        i = j
+    return np.concatenate(pieces)
 
 
 def build_topology(spec: TopologySpec) -> Graph:

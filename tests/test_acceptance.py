@@ -49,7 +49,8 @@ class _Canned:
         return self.cache[name]
 
     def rerun(self, name):
-        return run_experiment(self.config(name), out_dir=str(self.root / (name + "_rerun")))
+        # on a pool of 2, so the byte-identity check also covers the worker count
+        return run_experiment(self.config(name), out_dir=str(self.root / (name + "_rerun")), workers=2)
 
 
 @pytest.fixture(scope="session")

@@ -160,6 +160,76 @@ def test_abandoned_pooled_batch_closes_its_ring_after_the_pool(grid20x50, monkey
     assert all(a.same_outcome(b) for a, b in zip(seq, kept))
 
 
+@pytest.mark.parametrize("graph, spec, runs, cap", [
+    # a cap below one record: one run per chunk, 37 chunks through 4 slots
+    ("grid20x50", Gossip3(0.5, 1, 1, 2), 37, 1),
+    # 4 runs per chunk by the cap (runs // 16 is 6), the last of 26 chunks one run
+    ("grid20x50", Gossip3(0.5, 1, 1, 2), 101, 4),
+    # the default cap holds 5 of the 300x300 grid's 1.46 MB records; 20 chunks, the last one run
+    (Grid(300, 300), Gossip1(0.5, 0), 96, None),
+])
+def test_ring_slots_capped_and_released_before_reuse(graph, spec, runs, cap, grid20x50, monkeypatch):
+    g = grid20x50 if graph == "grid20x50" else build_topology(graph)
+    record = engine._record_layout(g.n)[-1][2]
+    if cap is not None:
+        monkeypatch.setattr(engine, "SLOT_BYTES", cap * record if cap > 1 else cap)
+    events, mapped = [], []
+
+    class RecordingRing(mmap.mmap):
+        def __new__(cls, fileno, length):
+            mapped.append(length)
+            return super().__new__(cls, fileno, length)
+
+        def madvise(self, option, start, length):
+            assert option == mmap.MADV_REMOVE
+            events.append(("release", start, length))
+            super().madvise(option, start, length)
+
+    fork = engine.multiprocessing.get_context("fork")
+
+    class RecordingPool:
+        def __init__(self, *args, **kwargs):
+            self.pool = fork.Pool(*args, **kwargs)
+
+        def __enter__(self):
+            self.pool.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self.pool.__exit__(*exc)
+
+        def apply_async(self, func, args):
+            events.append(("submit", args[0], len(args[1])))
+            return self.pool.apply_async(func, args)
+
+    class RecordingContext:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(engine.mmap, "mmap", RecordingRing)
+    monkeypatch.setattr(engine.multiprocessing, "get_context", lambda method: RecordingContext())
+    par = list(iter_batch(g, 0, spec, runs, 2024, workers=2))
+    seq = list(iter_batch(g, 0, spec, runs, 2024, workers=1))
+    assert len(par) == runs and all(a.same_outcome(b) for a, b in zip(seq, par))
+    if isinstance(spec, Gossip3):
+        assert any(tr.timeout_forward.any() for tr in par)
+    page = mmap.PAGESIZE
+    chunk = max(1, min(runs // 16, engine.SLOT_BYTES // record))
+    assert chunk == (1 if cap == 1 else 4 if cap else 5)
+    chunks = -(-runs // chunk)
+    assert chunks >= 3 * 4  # the ring of 4 slots wraps 3 times
+    assert chunk == 1 or runs % chunk == 1  # a batch of larger chunks ends on a one-run chunk
+    slot = -(-chunk * record // page) * page
+    assert mapped == [4 * slot] and slot <= -(-max(engine.SLOT_BYTES, record) // page) * page
+    # each slot is released once per chunk, after its chunk is copied out and
+    # before the chunk that reuses it is submitted
+    expected = [("submit", j * slot, chunk) for j in range(4)]
+    for j in range(chunks):
+        expected.append(("release", j % 4 * slot, slot))
+        if j + 4 < chunks:
+            expected.append(("submit", (j + 4) % 4 * slot, min(chunk, runs - (j + 4) * chunk)))
+    assert events == expected
+
+
 @pytest.mark.parametrize("topology", [None, Grid(300, 300)])
 def test_pool_result_pickles_to_a_few_bytes_per_run(topology, monkeypatch):
     # the arrays go through the ring; the result pipe carries a count and a mask per run
