@@ -160,19 +160,19 @@ def test_abandoned_pooled_batch_closes_its_ring_after_the_pool(grid20x50, monkey
     assert all(a.same_outcome(b) for a, b in zip(seq, kept))
 
 
-@pytest.mark.parametrize("graph, spec, runs, cap", [
-    # a cap below one record: one run per chunk, 37 chunks through 4 slots
-    ("grid20x50", Gossip3(0.5, 1, 1, 2), 37, 1),
+@pytest.mark.parametrize("graph, spec, runs, cap, chunk", [
+    # a cap of half a record: one run per chunk, 37 chunks through 4 slots
+    (Grid(20, 50), Gossip3(0.5, 1, 1, 2), 37, 0.5, 1),
     # 4 runs per chunk by the cap (runs // 16 is 6), the last of 26 chunks one run
-    ("grid20x50", Gossip3(0.5, 1, 1, 2), 101, 4),
+    (Grid(20, 50), Gossip3(0.5, 1, 1, 2), 101, 4, 4),
     # the default cap holds 5 of the 300x300 grid's 1.46 MB records; 20 chunks, the last one run
-    (Grid(300, 300), Gossip1(0.5, 0), 96, None),
+    (Grid(300, 300), Gossip1(0.5, 0), 96, None, 5),
 ])
-def test_ring_slots_capped_and_released_before_reuse(graph, spec, runs, cap, grid20x50, monkeypatch):
-    g = grid20x50 if graph == "grid20x50" else build_topology(graph)
+def test_ring_slots_capped_and_released_before_reuse(graph, spec, runs, cap, chunk, monkeypatch):
+    g = build_topology(graph)
     record = engine._record_layout(g.n)[-1][2]
     if cap is not None:
-        monkeypatch.setattr(engine, "SLOT_BYTES", cap * record if cap > 1 else cap)
+        monkeypatch.setattr(engine, "SLOT_BYTES", int(cap * record))  # in records
     events, mapped = [], []
 
     class RecordingRing(mmap.mmap):
@@ -213,8 +213,6 @@ def test_ring_slots_capped_and_released_before_reuse(graph, spec, runs, cap, gri
     if isinstance(spec, Gossip3):
         assert any(tr.timeout_forward.any() for tr in par)
     page = mmap.PAGESIZE
-    chunk = max(1, min(runs // 16, engine.SLOT_BYTES // record))
-    assert chunk == (1 if cap == 1 else 4 if cap else 5)
     chunks = -(-runs // chunk)
     assert chunks >= 3 * 4  # the ring of 4 slots wraps 3 times
     assert chunk == 1 or runs % chunk == 1  # a batch of larger chunks ends on a one-run chunk
