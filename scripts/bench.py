@@ -59,8 +59,8 @@ TRACED_SECONDS = 5
 TRACED_RUNS = 7
 RESOLVED_SHARE = 0.9  # of the seed-matched pairs that must move the medians' way
 TRACED_METRICS = ("engine.us_per_round", "engine.self_s", "topology.gather_s", "topology.build_s",
-                  "topology.bfs_s", "rng.draw_s", "metrics.add_s.zone_coverage",
-                  "engine.pool.bytes", "engine.pool.wait_s")
+                  "topology.bfs_s", "rng.draw_s", "metrics.add_s.coverage", "metrics.add_s.profile",
+                  "metrics.add_s.zone_coverage", "engine.pool.bytes", "engine.pool.wait_s")
 TIER1_COMMAND = ("-m", "pytest", "-q", "-rf", "--continue-on-collection-errors", "--durations=15")
 
 

@@ -13,30 +13,30 @@ Randomness: the per-node forwarding draw comes from child stream `node`
 of the execution seed, so a trace is a pure function of
 (graph, source, spec, seed) regardless of traversal order.
 
-Only Gossip3 with m > 0 takes the key-based round loop.  Each round the
-nodes that first received in the round before decide: before round k all
-send (their hops are below k), later on their draw; a decliner is checked
-timeout_rounds rounds after its receipt, and if it is due a timeout it joins
-the next round's senders, so its only send comes timeout_rounds + 1 rounds
-after receipt.  Its key per node is hop * (n + 1) + parent, inverted once
-the node has received so that no later copy beats it, with the receive
-round, the node's own send key and its copy count kept beside it.  Every
-other spec, Gossip2 included, has no timeout: a node sends in the round
-after its first receipt or never, so its hop is its receive round and its
-parent the lowest-id sender of that round.  The lean loop keeps one key,
-receive round * (n + 1) + parent, per node.  A Gossip2 copy from a sender of degree below n_thresh, delivered to a
-node in the round it first receives, switches that node's threshold from p1
-to p2 before it decides, which is the OR of boosts.  Both loops decode their
-keys through `_decode` and call `gather_neighbors` once per round that has a
-sender.  A gather may pad a sender's targets with the sender itself (see
-`topology`): a sender has received, so a pad never beats its key, and the
-copy count and L maximum a pad adds to are never read once a node sends.
-Every trace array has n entries.  A pickled trace carries only what cannot
-be rebuilt (see `ExecutionTrace.__reduce__`), and so does a pooled run: its
-worker writes those arrays into a record of a shared anonymous `mmap`, a
-ring of 2 * workers slots of at most SLOT_BYTES (one record at least), and
-the pipe carries only the run's broadcast count and which arrays it wrote.
-The parent rebuilds the trace from copies of the record through
+Only Gossip3 with m > 0 takes the key-based round loop.  Each round the nodes
+that first received in the round before decide: before round k all send (their
+hops are below k), later on their draw; a decliner is checked timeout_rounds
+rounds after its receipt, and if it is due a timeout it joins the next round's
+senders, so its only send comes timeout_rounds + 1 rounds after receipt.  Its
+key per node is hop << s | (parent + 1), s = n.bit_length(), inverted once the
+node has received so that no later copy beats it, with the receive round, the
+node's own send key and its copy count kept beside it.  Every other spec,
+Gossip2 included, has no timeout: a node sends in the round after its first
+receipt or never, so its hop is its receive round and its parent the lowest-id
+sender of that round.  The lean loop keeps one key, receive round << s |
+(parent + 1), per node.  A Gossip2 copy from a sender of degree below
+n_thresh, delivered to a node in the round it first receives, switches that
+node's threshold from p1 to p2 before it decides, which is the OR of boosts.
+Both loops decode their keys through `_decode` and call `gather_neighbors`
+once per round that has a sender.  A gather may pad a sender's targets with
+the sender itself (see `topology`): a sender has received, so a pad never
+beats its key, and the copy count and L maximum a pad adds to are never read
+once a node sends.  Every trace array has n entries.  A pickled trace carries
+only what cannot be rebuilt (see `ExecutionTrace.__reduce__`), and so does a
+pooled run: its worker writes those arrays into a record of a shared anonymous
+`mmap`, a ring of 2 * workers slots of at most SLOT_BYTES (one record at
+least), and the pipe carries only the run's broadcast count and which arrays
+it wrote.  The parent rebuilds the trace from copies of the record through
 `_rebuild_trace`, as unpickling does, and then releases the slot's pages
 (MADV_REMOVE); no trace array is unpickled in the pool's result thread.
 """
@@ -148,25 +148,24 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
     loop = _keyed_rounds if isinstance(spec, Gossip3) and spec.m > 0 else _lean_rounds
     arrays = loop(g, source, spec, draws)
     fields = dict(zip(_ARRAY_FIELDS, arrays), source=int(source), protocol=spec, seed=int(seed))
-    return ExecutionTrace(**fields, broadcast_count=int(fields["forwarded"].sum()))
+    return ExecutionTrace(**fields, broadcast_count=int(np.count_nonzero(fields["forwarded"])))
 
 
-def _decode(first: np.ndarray, source: int) -> tuple:
+def _decode(first: np.ndarray, shift: int) -> tuple:
     """`received`, level and parent (int32, -1 where not received) from each
-    node's key level * (n + 1) + parent; the source's 0 decodes to parent -1."""
-    received = first != _NO_KEY
+    node's key level << shift | (parent + 1), shift <= 31.  The casts to int32
+    wrap: the unreached key, _NO_KEY with its low `shift` bits clear, decodes
+    to -1 in both fields, and the source's key 0 to parent -1."""
     # decoded straight into int32 (the cast is buffered, so no int64 copies)
-    level = np.empty(first.size, dtype=np.int32)
-    parent = np.empty(first.size, dtype=np.int32)
-    np.divmod(first, first.size + 1, out=(level, parent), casting="unsafe")
-    level[~received] = parent[~received] = -1
-    parent[source] = -1
-    return received, level, parent
+    level = np.right_shift(first, shift, out=np.empty(first.size, np.int32), casting="unsafe")
+    parent = np.bitwise_and(first, (1 << shift) - 1, out=np.empty(first.size, np.int32), casting="unsafe")
+    parent -= 1
+    return level >= 0, level, parent
 
 
 def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -> tuple:
     n = g.n
-    stride = n + 1
+    stride = 1 << n.bit_length()
     k = spec.k
     boosts = None
     if isinstance(spec, Gossip2):
@@ -174,9 +173,9 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
         boosts = g.degrees < spec.n_thresh  # senders whose copies carry the boost
     else:
         lucky = draws < spec.p
-    # first[v] = receive_round * (n + 1) + parent of v's first copy: receivers
-    # of earlier rounds, each sender included, hold smaller keys
-    first = np.full(n, _NO_KEY, dtype=np.int64)
+    # first[v] = receive_round * stride + parent + 1 of v's first copy:
+    # receivers of earlier rounds, each sender included, hold smaller keys
+    first = np.full(n, _NO_KEY & -stride, dtype=np.int64)
     first[source] = 0
     frontier = np.array([source], dtype=np.intp)
     t = 0
@@ -186,7 +185,7 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
             break
         targets, snd = gather_neighbors(g, senders)
         t += 1
-        key = snd + t * stride
+        key = snd + (t * stride + 1)
         np.minimum.at(first, targets, key)
         seen = first[targets]
         # (target, sender) pairs are unique in a round: one entry per new receiver wins
@@ -195,7 +194,7 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
             # a boosted copy to a new receiver switches its draw to p2
             hot = targets[(seen >= t * stride) & boosts[snd]]
             lucky[hot] = draws[hot] < spec.p2
-    received, receive_round, parent = _decode(first, source)
+    received, receive_round, parent = _decode(first, n.bit_length())
     forwarded = received & (lucky | (receive_round < k))
     # hop is the receive round: one array serves both, and pickles once
     return received, receive_round, receive_round, parent, forwarded, np.zeros(n, bool), np.zeros(n, np.int32)
@@ -203,17 +202,17 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
 
 def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tuple:
     n = g.n
-    stride = n + 1
+    stride = 1 << n.bit_length()
     k = spec.k
     coin = draws < spec.p
-    # first[v] = hop * (n + 1) + parent of v's first copy while it arrives,
+    # first[v] = hop * stride + parent + 1 of v's first copy while it arrives,
     # stored inverted (~key, negative) once v has received, so no later copy
     # beats it.  out_key[v] is the key v's broadcast gives its receivers,
-    # (hop + 1) * (n + 1) + v
-    first = np.full(n, _NO_KEY, dtype=np.int64)
+    # (hop + 1) * stride + v + 1
+    first = np.full(n, _NO_KEY & -stride, dtype=np.int64)
     first[source] = ~0
     out_key = np.empty(n, dtype=np.int64)
-    out_key[source] = stride + source
+    out_key[source] = stride + source + 1
     receive_round = np.full(n, -1, dtype=np.int32)
     receive_round[source] = 0
     timeout_forward = np.zeros(n, dtype=bool)
@@ -234,8 +233,9 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
         if fresh.size:
             if t >= k:  # hop < k exactly when the receive round t < k
                 go = coin[fresh]
-                if not go.all():
-                    checks[t + spec.timeout_rounds] = fresh[~go]
+                declined = fresh[~go]
+                if declined.size:
+                    checks[t + spec.timeout_rounds] = declined
                 fresh = fresh[go]
             senders = np.concatenate((fresh, late)) if late.size else fresh
         # copies now holds every delivery through round t; a timeout is due
@@ -256,8 +256,9 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
             # (target, sender) pairs are unique in a round: one entry per new receiver wins
             win = first[targets] == key
             fresh = targets[win]
-            first[fresh] = ~key[win]
-            out_key[fresh] = key[win] - snd[win] + stride + fresh
+            kw = key[win]
+            first[fresh] = ~kw
+            out_key[fresh] = (kw & -stride) + (stride + 1) + fresh
             receive_round[fresh] = t
             if L_heard is not None:
                 np.maximum.at(L_heard, targets, L_out[snd])
@@ -267,7 +268,7 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
         else:
             break
     np.invert(first, out=first, where=first < 0)
-    received, hop, parent = _decode(first, source)
+    received, hop, parent = _decode(first, n.bit_length())
     forwarded = received & (coin | (receive_round < k) | timeout_forward)
     return received, receive_round, hop, parent, forwarded, timeout_forward, L_out - timeout_forward
 

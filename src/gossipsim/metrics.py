@@ -166,7 +166,7 @@ class CoverageAccumulator(_Consumer):
         self.coverages: list[float] = []
 
     def add(self, trace: ExecutionTrace) -> None:
-        self.coverages.append(float(trace.received[self.members].sum() / self.size))
+        self.coverages.append(np.count_nonzero(trace.received & self.members) / self.size)
 
     def summary(self) -> BimodalSummary:
         cov = np.array(self.coverages)

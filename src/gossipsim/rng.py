@@ -39,9 +39,8 @@ def child_seed(seed: int, index: int) -> int:
 def child_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized `child_seed` over an array of stream indices."""
     x = indices.astype(np.uint64)  # a copy, mixed in place: `indices` is left as it is
-    x += np.uint64(1)
     x *= np.uint64(_GAMMA)
-    x += np.uint64(seed & _MASK)
+    x += np.uint64((seed + _GAMMA) & _MASK)  # (index + 1) * gamma + seed
     tmp = np.empty_like(x)  # one temporary serves the three shifts
     x ^= np.right_shift(x, np.uint64(30), out=tmp)
     x *= np.uint64(_MIX1)

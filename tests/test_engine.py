@@ -495,6 +495,47 @@ def test_gather_calls_match_send_rounds(monkeypatch, spec):
         assert len(calls) == np.unique(send_round).size, (spec, seed)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 255, 256, 257])
+def test_key_layout_at_bit_length_edges_matches_spec(n):
+    # a key holds parent + 1 in its low n.bit_length() bits, so n - 1 is the
+    # largest id those bits carry; a path, a star, and a path over half the
+    # nodes with the rest isolated, each from both ends, under both loops, k = 0
+    # (so a source whose draw fails is closed) included
+    ends = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    star = np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
+    graphs = [Graph(n, ends), Graph(n, star), Graph(n, ends[:n // 2])]
+    specs = [FLOODING, Gossip1(0.5, 1), Gossip1(0.5, 0), Gossip2(0.3, 1, 0.9, 2), Gossip3(0.5, 1, 1, 2),
+             Gossip3(0.5, 0, 1, 2), Gossip3(0.3, 0, 2, 1)]
+    for g in graphs:
+        for source in {0, n - 1}:
+            for spec in specs:
+                for seed in range(4):
+                    tr = run_execution(g, source, spec, seed)
+                    assert_matches_spec(tr, g)
+                    lost = ~tr.received
+                    assert (tr.hop[lost] == -1).all() and (tr.receive_round[lost] == -1).all()
+                    assert (tr.parent[lost] == -1).all() and tr.parent[source] == -1
+    # the isolated nodes of the half path are never reached
+    tr = run_execution(graphs[2], 0, FLOODING, 0)
+    assert not tr.received[n // 2 + 1:].any()
+
+
+def test_decode_at_the_widest_shift():
+    # n = 2**31 - 1 gives shift 31, the widest an int32 parent allows: the
+    # largest id and level decode, and so do the source's key 0 and the
+    # unreached key, with no graph of that size
+    s, n = 31, 2**31 - 1
+    top = np.iinfo(np.int32).max
+    cases = [(0, 0, -1), (1 << s | 1, 1, 0), (5 << s | n, 5, n - 1), (top << s | 8, top, 7),
+             (np.iinfo(np.int64).max & -(1 << s), -1, -1)]
+    keys = np.array([key for key, _, _ in cases], dtype=np.int64)
+    assert (np.diff(keys) > 0).all()  # keys order as (level, parent) with the unreached key last
+    received, level, parent = engine._decode(keys, s)
+    assert level.dtype == parent.dtype == np.int32
+    assert level.tolist() == [lv for _, lv, _ in cases] and parent.tolist() == [p for _, _, p in cases]
+    assert received.tolist() == [True] * 4 + [False]
+
+
 def test_lean_loop_long_path_under_flooding(monkeypatch):
     # one send round per node, each one call of the engine's gather_neighbors
     n = 20_000
