@@ -23,8 +23,8 @@ node has received so that no later copy beats it, with the receive round, the
 node's own send key and its copy count kept beside it.  Every other spec,
 Gossip2 included, has no timeout: a node sends in the round after its first
 receipt or never, so its hop is its receive round and its parent the lowest-id
-sender of that round.  The lean loop keeps one key, receive round << s |
-(parent + 1), per node.  A Gossip2 copy from a sender of degree below
+sender of that round.  The lean loop keeps one key per node,
+receive round << s | (parent + 1).  A Gossip2 copy from a sender of degree below
 n_thresh, delivered to a node in the round it first receives, switches that
 node's threshold from p1 to p2 before it decides, which is the OR of boosts.
 Both loops decode their keys through `_decode` and call `gather_neighbors`
