@@ -22,7 +22,6 @@ from .topology import (
     degree_stats,
     grid_index,
     hop_distances,
-    load_edgelist,
     save_edgelist,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "grid_index",
     "hop_distances",
     "iter_batch",
-    "load_edgelist",
     "protocol_name",
     "run_execution",
     "save_edgelist",

@@ -31,14 +31,13 @@ Both loops decode their keys through `_decode` and call `gather_neighbors`
 once per round that has a sender.  A gather may pad a sender's targets with
 the sender itself (see `topology`): a sender has received, so a pad never
 beats its key, and the copy count and L maximum a pad adds to are never read
-once a node sends.  Every trace array has n entries.  A pickled trace carries
-only what cannot be rebuilt (see `ExecutionTrace.__reduce__`), and so does a
-pooled run: its worker writes those arrays into a record of a shared anonymous
-`mmap`, a ring of 2 * workers slots of at most SLOT_BYTES (one record at
-least), and the pipe carries only the run's broadcast count and which arrays
-it wrote.  The parent rebuilds the trace from copies of the record through
-`_rebuild_trace`, as unpickling does, and then releases the slot's pages
-(MADV_REMOVE); no trace array is unpickled in the pool's result thread.
+once a node sends.  Every trace array has n entries.  A pooled run's worker
+writes only what cannot be rebuilt (see `_record_layout`) into a record of a
+shared anonymous `mmap`, a ring of 2 * workers slots of at most SLOT_BYTES
+(one record at least), and the pipe carries only the run's broadcast count
+and which arrays it wrote.  The parent rebuilds the trace from copies of the
+record (`_read_records`) and then releases the slot's pages (MADV_REMOVE); no
+trace array is unpickled in the pool's result thread.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import numpy as np
 
 from .protocols import Gossip2, Gossip3, ProtocolSpec
 from .rng import child_seed, unit_uniforms
-from .textio import write_rows
 from .topology import Graph, gather_neighbors
 
 _NO_KEY = np.iinfo(np.int64).max
@@ -77,27 +75,10 @@ class ExecutionTrace:
     broadcast_count: int
 
     def __post_init__(self):
-        # read-only, whether built here or unpickled from a pool worker: a lean
-        # trace's hop and receive_round are one array
+        # read-only, whether built here or read from a pool's ring record: a
+        # lean trace's hop and receive_round are one array
         for name in _ARRAY_FIELDS:
             getattr(self, name).flags.writeable = False
-
-    def _shipped(self) -> tuple:
-        # a pickled trace, like a pool's ring record, holds only what cannot
-        # be rebuilt: `received` is receive_round >= 0, and the timeout
-        # fields are zero for every spec but gossip3 with m > 0; pickle's memo
-        # ships a lean trace's hop, its receive_round array, once and
-        # restores it as one array
-        return (self.broadcast_count, self.receive_round, self.parent, np.packbits(self.forwarded), self.hop,
-                np.packbits(self.timeout_forward) if self.timeout_forward.any() else None,
-                self.L_at_receipt if self.L_at_receipt.any() else None)
-
-    def __reduce__(self):
-        return _rebuild_trace, (self.source, self.protocol, self.seed, *self._shipped())
-
-    @property
-    def n(self) -> int:
-        return self.received.size
 
     def sent_L(self) -> np.ndarray:
         """L carried by each forwarder's broadcast (timeout forwards add 1)."""
@@ -108,36 +89,6 @@ class ExecutionTrace:
         return (self.source, self.broadcast_count) == (other.source, other.broadcast_count) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAY_FIELDS
         )
-
-    def to_csv(self, path_or_file) -> None:
-        """One row per node: node,received,round,hop,parent,forwarded,timeout_forward,L."""
-        write_rows(
-            path_or_file,
-            "node,received,round,hop,parent,forwarded,timeout_forward,L",
-            zip(range(self.n), self.received, self.receive_round, self.hop, self.parent,
-                self.forwarded, self.timeout_forward, self.L_at_receipt),
-        )
-
-
-def _rebuild_trace(source, protocol, seed, broadcast_count, receive_round, parent, forwarded,
-                   hop, timeout_forward, L_at_receipt) -> ExecutionTrace:
-    """The trace `ExecutionTrace.__reduce__` shipped, with its derived and zero fields rebuilt."""
-    n = receive_round.size
-
-    def unpack(bits):
-        return np.zeros(n, bool) if bits is None else np.unpackbits(bits, count=n).view(bool)
-
-    return ExecutionTrace(
-        source=source, protocol=protocol, seed=seed,
-        received=receive_round >= 0,
-        receive_round=receive_round,
-        hop=hop,
-        parent=parent,
-        forwarded=unpack(forwarded),
-        timeout_forward=unpack(timeout_forward),
-        L_at_receipt=np.zeros(n, np.int32) if L_at_receipt is None else L_at_receipt,
-        broadcast_count=broadcast_count,
-    )
 
 
 def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> ExecutionTrace:
@@ -196,7 +147,7 @@ def _lean_rounds(g: Graph, source: int, spec: ProtocolSpec, draws: np.ndarray) -
             lucky[hot] = draws[hot] < spec.p2
     received, receive_round, parent = _decode(first, n.bit_length())
     forwarded = received & (lucky | (receive_round < k))
-    # hop is the receive round: one array serves both, and pickles once
+    # hop is the receive round: one array serves both, and ships once
     return received, receive_round, receive_round, parent, forwarded, np.zeros(n, bool), np.zeros(n, np.int32)
 
 
@@ -278,10 +229,11 @@ SLOT_BYTES = 8 << 20  # of run records in one ring slot, which holds one record 
 
 
 def _record_layout(n: int) -> list:
-    """(dtype, start, end) in bytes of each array `ExecutionTrace.__reduce__`
-    ships, in its order, within one run's ring record; the last end is the
-    record's size.  The last three are written only when they are not the
-    lean defaults, so a lean run touches only the first 8n + n/8 bytes."""
+    """(dtype, start, end) in bytes of each array of one run's ring record,
+    which holds only what cannot be rebuilt: receive_round, parent, forwarded
+    (bits), and, when not the lean defaults, hop, timeout_forward (bits) and
+    L_at_receipt; the last end is the record's size.  A lean run touches only
+    the first 8n + n/8 bytes."""
     bits = (n + 7) // 8
     layout, end = [], 0
     for dtype, size in ((np.int32, 4 * n), (np.int32, 4 * n), (np.uint8, bits),
@@ -302,30 +254,40 @@ def _pool_run(at: int, seeds: list) -> list:
     size = layout[-1][2]
     shipped = []
     for base, seed in zip(range(at, at + len(seeds) * size, size), seeds):
-        count, *arrays = run_execution(g, source, spec, seed)._shipped()
-        if arrays[3] is arrays[0]:
-            arrays[3] = None  # a lean hop is its receive_round
+        tr = run_execution(g, source, spec, seed)
+        arrays = (tr.receive_round, tr.parent, np.packbits(tr.forwarded),
+                  None if tr.hop is tr.receive_round else tr.hop,
+                  np.packbits(tr.timeout_forward) if tr.timeout_forward.any() else None,
+                  tr.L_at_receipt if tr.L_at_receipt.any() else None)
         wrote = 0
         for i, (a, (_, start, end)) in enumerate(zip(arrays, layout)):
             if a is not None:
                 ring[base + start:base + end] = a
                 wrote |= 1 << i
-        shipped.append((count, wrote))
+        shipped.append((tr.broadcast_count, wrote))
     return shipped
 
 
 def _read_records(ring: mmap.mmap, layout: list, at: int, shipped: list, seeds: list,
                   source: int, spec: ProtocolSpec) -> list:
-    """The traces in the ring's records from byte `at` on, rebuilt from copies."""
-    size = layout[-1][2]
+    """The traces in the ring's records from byte `at` on, rebuilt from copies;
+    an unwritten hop is the receive_round array, and the unwritten timeout
+    fields are zero arrays that the chunk's traces share read-only."""
+    size, n = layout[-1][2], layout[0][2] // 4
+    no_flags, no_L = np.zeros(n, bool), np.zeros(n, np.int32)
     traces = []
     for base, (count, wrote), seed in zip(range(at, at + len(seeds) * size, size), shipped, seeds):
         receive_round, parent, forwarded, hop, timeout_forward, L_at_receipt = (
             np.frombuffer(ring[base + start:base + end], dtype) if wrote >> i & 1 else None
             for i, (dtype, start, end) in enumerate(layout)
         )
-        traces.append(_rebuild_trace(source, spec, seed, count, receive_round, parent, forwarded,
-                                     receive_round if hop is None else hop, timeout_forward, L_at_receipt))
+        traces.append(ExecutionTrace(
+            source=source, protocol=spec, seed=seed, received=receive_round >= 0, receive_round=receive_round,
+            hop=receive_round if hop is None else hop, parent=parent,
+            forwarded=np.unpackbits(forwarded, count=n).view(bool),
+            timeout_forward=no_flags if timeout_forward is None else np.unpackbits(timeout_forward, count=n).view(bool),
+            L_at_receipt=no_L if L_at_receipt is None else L_at_receipt, broadcast_count=count,
+        ))
     return traces
 
 
@@ -343,12 +305,14 @@ def iter_batch(
     min(workers, runs) processes executes the runs in chunks of
     max(1, runs // (workers * 8)) runs, cut to fit SLOT_BYTES (one run at least,
     each at most 16n + 2 * ceil(n / 8) bytes), yielded in run order.  A worker
-    writes each run's shipped arrays into a chunk slot (whole pages) of a shared
+    writes each run's ring record into a chunk slot (whole pages) of a shared
     ring and returns only its broadcast count and which arrays it wrote; chunk j's
     slot is released once copied out, before chunk j + depth = 2 * workers reuses it.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     seeds = [child_seed(base_seed, i) for i in range(runs)]
     workers = min(workers, runs)
     if workers <= 1:

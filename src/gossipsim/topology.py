@@ -30,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .rng import unit_uniforms
-from .textio import open_text, write_rows
+from .textio import write_rows
 
 UNREACHABLE = -1
 # Largest table kept, in multiples of the CSR entries n + 1 + 2m.  Widened
@@ -349,32 +349,3 @@ def save_edgelist(g: Graph, path_or_file) -> None:
     if g.coords is not None:
         rows += [("c", i, x, y) for i, (x, y) in enumerate(g.coords.tolist())]
     write_rows(path_or_file, f"n {g.n}", rows, sep=" ")
-
-
-def load_edgelist(path_or_file) -> Graph:
-    """Read a graph written by `save_edgelist`; round-trips bit-exactly."""
-    with open_text(path_or_file) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    head = lines[0] if lines else ""
-    parts = head.split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
-        raise ValueError(f"edge list must start with a 'n <count>' header, not {head!r}")
-    n = int(parts[1])
-    edges = []
-    coords = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        try:  # `u v` or `c id x y`, with id a node not given before
-            if len(parts) == 4 and parts[0] == "c" and 0 <= int(parts[1]) < n and int(parts[1]) not in coords:
-                coords[int(parts[1])] = (float(parts[2]), float(parts[3]))
-            elif len(parts) == 2:
-                edges.append((int(parts[0]), int(parts[1])))
-            else:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"bad edge list line: {ln!r}") from None
-    if 0 < len(coords) < n:
-        missing = [v for v in range(n) if v not in coords]
-        raise ValueError(f"edge list gives no coordinates for {len(missing)} node(s): {missing[:10]}")
-    xy = np.array([coords[v] for v in range(n)], dtype=np.float64) if coords else None
-    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), xy)

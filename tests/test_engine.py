@@ -1,8 +1,6 @@
 import hashlib
-import io
 import mmap
 import multiprocessing
-import pickle
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -246,13 +244,20 @@ def test_pool_result_pickles_to_a_few_bytes_per_run(topology, monkeypatch):
             assert tr.same_outcome(run_execution(g, 0, spec, seed)), (g.n, spec, seed)
 
 
-def _round_trip(tr):
-    """The trace as a pool worker's result comes back: pickled the pool's way."""
-    blob = ForkingPickler.dumps(tr)
-    return pickle.loads(blob), len(blob)
+def _through_ring(g, spec, seeds, monkeypatch):
+    """Each seed's run as a pool worker ships it: its ring record and the trace read back."""
+    monkeypatch.setattr(engine, "_POOL_STATE", {})
+    layout = engine._record_layout(g.n)
+    ring = mmap.mmap(-1, len(seeds) * layout[-1][2])
+    try:
+        engine._pool_init(g, 0, spec, ring)
+        shipped = engine._pool_run(0, seeds)
+        return shipped, engine._read_records(ring, layout, 0, shipped, seeds, 0, spec)
+    finally:
+        ring.close()
 
 
-def test_pickle_round_trip_every_protocol():
+def test_ring_round_trip_every_protocol(monkeypatch):
     g = random_graph(40, 0.1, 5)
     single = Graph(1, np.zeros((0, 2), dtype=np.int64))
     isolated = Graph(4, np.array([[1, 2], [2, 3]]))  # node 0 has no neighbours
@@ -261,33 +266,36 @@ def test_pickle_round_trip_every_protocol():
     timed_out = False
     for graph in (g, single, isolated):
         for spec in specs:
-            for seed in range(10):
+            _, backs = _through_ring(graph, spec, list(range(10)), monkeypatch)
+            for seed, back in enumerate(backs):
                 tr = run_execution(graph, 0, spec, seed)
-                back, _ = _round_trip(tr)
                 assert back.same_outcome(tr), (graph.n, spec, seed)
                 assert (back.source, back.protocol, back.seed) == (tr.source, tr.protocol, tr.seed)
                 for name in engine._ARRAY_FIELDS:
                     assert getattr(back, name).dtype == getattr(tr, name).dtype, name
                     assert not getattr(back, name).flags.writeable, name
                 # a lean trace's hop is its receive_round, on both sides
-                assert (back.hop is back.receive_round) == (tr.hop is tr.receive_round)
                 lean = not (isinstance(spec, Gossip3) and spec.m > 0)
+                assert (back.hop is back.receive_round) == lean
                 assert (tr.hop is tr.receive_round) == lean
                 timed_out |= bool(tr.timeout_forward.any())
     assert timed_out
 
 
-def test_pickled_lean_trace_size(grid20x50):
-    # receive_round and parent as int32 plus forwarded as bits: at most 9 B a node
-    n = grid20x50.n
+def test_ring_record_writes_only_what_cannot_be_rebuilt(grid20x50, monkeypatch):
+    # bits 0-2: receive_round, parent and forwarded, written for every run;
+    # bits 3-5: hop, timeout_forward and L, written only when not the lean defaults
+    seeds = [child_seed(3, i) for i in range(4)]
     for spec in (FLOODING, Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip4(0.6, 1, 2), Gossip3(0.5, 1, 0, 2)):
-        _, size = _round_trip(run_execution(grid20x50, 0, spec, 3))
-        assert size <= 9 * n + 1024, (spec, size)
-    # gossip3 with m > 0 also ships hop and, once a node times out, its
-    # timeout flags as bits and its L: four int32 arrays and two of bits
-    tr = next(t for t in iter_batch(grid20x50, 0, Gossip3(0.5, 1, 1, 2), 8, 2024) if t.timeout_forward.any())
-    _, size = _round_trip(tr)
-    assert size <= 17 * n + 1024
+        shipped, _ = _through_ring(grid20x50, spec, seeds, monkeypatch)
+        assert [wrote for _, wrote in shipped] == [0b111] * len(seeds), spec
+    # gossip3 with m > 0 ships its hop, and once a node times out its timeout
+    # flags and, when a timeout forward reached anyone new, its L
+    seeds = [child_seed(2024, i) for i in range(8)]
+    shipped, backs = _through_ring(grid20x50, Gossip3(0.5, 1, 1, 2), seeds, monkeypatch)
+    for (_, wrote), tr in zip(shipped, backs):
+        assert wrote == 0b1111 | tr.timeout_forward.any() << 4 | tr.L_at_receipt.any() << 5
+    assert 0b111111 in [wrote for _, wrote in shipped]
 
 
 def test_pool_size_capped_at_run_count(grid20x50, monkeypatch):
@@ -387,20 +395,6 @@ def test_gossip2_no_boost_from_high_degree_sender():
     assert tr.broadcast_count == 1  # only the source
 
 
-def test_trace_csv_format(tmp_path):
-    g = line_graph(3)
-    tr = run_execution(g, 0, FLOODING, 4)
-    buf = io.StringIO()
-    tr.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "node,received,round,hop,parent,forwarded,timeout_forward,L"
-    assert lines[1] == "0,1,0,0,-1,1,0,0"
-    assert lines[2] == "1,1,1,1,0,1,0,0"
-    path = tmp_path / "trace.csv"
-    tr.to_csv(str(path))
-    assert path.read_text().splitlines()[0] == lines[0]
-
-
 def test_invalid_inputs():
     g = line_graph(3)
     with pytest.raises(ValueError):
@@ -409,6 +403,9 @@ def test_invalid_inputs():
         run_execution(g, 0, Gossip1(1.5, 1), 1)
     with pytest.raises(ValueError):
         list(iter_batch(g, 0, FLOODING, 0, 1))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            list(iter_batch(g, 0, FLOODING, 4, 1, workers=workers))
 
 
 def test_gossip4_propagates_like_gossip1():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import Gossip1, Gossip3, Grid, RandomGeometric, build_topology, load_edgelist
+from gossipsim import Gossip1, Gossip3, Grid, RandomGeometric, build_topology
 from gossipsim import experiments
 from gossipsim.cli import main as cli_main
 from gossipsim.experiments import (
@@ -375,8 +375,9 @@ def test_cli_run_and_topo(tmp_path, capsys):
     assert (out / "manifest.json").exists()
     topo_path = tmp_path / "g.edges"
     assert cli_main(["topo", str(cfg_path), "--out", str(topo_path)]) == 0
-    g = load_edgelist(str(topo_path))
-    assert g.n == 96
+    lines = topo_path.read_text().splitlines()
+    assert lines[0] == "n 96"
+    assert lines[1:] == [f"{u} {v}" for u, v in build_topology(Grid(8, 12)).edges().tolist()]
     capsys.readouterr()
 
 

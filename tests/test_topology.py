@@ -1,6 +1,4 @@
 import hashlib
-import io
-import re
 from unittest import mock
 
 import numpy as np
@@ -17,8 +15,6 @@ from gossipsim import (
     degree_stats,
     grid_index,
     hop_distances,
-    load_edgelist,
-    save_edgelist,
 )
 from gossipsim.rng import unit_uniforms
 from gossipsim import topology
@@ -437,54 +433,6 @@ def test_zone_levels_matches_reference_loops(n, edge_prob, radius, receive_prob,
     level = zone_levels(g, received, radius)
     assert level.dtype == np.int32
     assert np.array_equal(level, _reference_zone_levels(g, received, radius))
-
-
-def test_edge_list_roundtrip_bit_exact():
-    g = build_topology(RandomGeometric(120, 2200, 600, 250, 34))
-    buf = io.StringIO()
-    save_edgelist(g, buf)
-    g2 = load_edgelist(io.StringIO(buf.getvalue()))
-    assert g2.n == g.n
-    assert np.array_equal(g2.indptr, g.indptr)
-    assert np.array_equal(g2.indices, g.indices)
-    assert np.array_equal(g2.coords, g.coords)  # bit-exact floats
-    buf2 = io.StringIO()
-    save_edgelist(g2, buf2)
-    assert buf2.getvalue() == buf.getvalue()
-
-
-def test_edge_list_roundtrip_no_coords(tmp_path):
-    g = build_topology(Grid(5, 8))
-    path = tmp_path / "grid.edges"
-    save_edgelist(g, str(path))
-    g2 = load_edgelist(str(path))
-    assert np.array_equal(g2.indices, g.indices) and g2.coords is None
-
-
-_BAD_LINES = ["0", "c 0 1", "c 5 1 2", "c -1 1 2", "0 1 7", "c x 1 2", "0 b"]
-_HEADER = "edge list must start with a 'n <count>' header, not "
-_BAD_FILES = {  # id: (file, error)
-    "header n 3 9": ("n 3 9\n0 1\n", _HEADER + "'n 3 9'"),
-    "header n": ("n \n0 1\n", _HEADER + "'n '"),
-    "header n abc": ("n abc\n0 1\n", _HEADER + "'n abc'"),
-    "header m 3": ("m 3\n0 1\n", _HEADER + "'m 3'"),
-    "no header": ("", _HEADER + "''"),
-    "coords for some nodes": ("n 3\n0 1\nc 0 1.5 2.5\n", "no coordinates for 2 node(s): [1, 2]"),
-    "coords repeated": ("n 3\nc 0 1 2\nc 1 1 2\nc 2 1 2\nc 0 3 4\n", "bad edge list line: 'c 0 3 4'"),
-}
-
-
-@pytest.mark.parametrize(
-    "text, error",
-    [(f"n 3\n0 1\n{line}\n", f"bad edge list line: '{line}'") for line in _BAD_LINES] + list(_BAD_FILES.values()),
-    ids=_BAD_LINES + list(_BAD_FILES),
-)
-def test_edge_list_rejects_malformed_lines(text, error):
-    # the header is exactly `n <count>`; a line is `u v` or `c id x y` with id
-    # in 0..n-1 and given once, and `c` lines cover every node or none;
-    # anything else names the line, or the nodes that lack coordinates
-    with pytest.raises(ValueError, match=re.escape(error)):
-        load_edgelist(io.StringIO(text))
 
 
 # (class, args): a spec checks itself when it is built, so a bad one cannot exist

@@ -2,9 +2,8 @@ import hashlib
 import io
 
 from gossipsim import Grid, RandomGeometric, build_topology
-from gossipsim.engine import run_execution
 from gossipsim.experiments import parse_config_text, report, run_experiment, sweep_probability
-from gossipsim.protocols import Gossip3, Gossip4
+from gossipsim.protocols import Gossip4
 from gossipsim.routing import discover_route, query_for, route_results_to_csv
 from gossipsim.topology import hop_distances, save_edgelist
 
@@ -58,17 +57,6 @@ def _writer_outputs(tmp_path) -> dict:
     got = {}
 
     g = build_topology(_SMALL_RGG)
-    g3 = [run_execution(g, 0, Gossip3(0.4, 1, 1, 2), seed) for seed in range(3)]
-    assert any(tr.timeout_forward.any() for tr in g3)
-    assert any((tr.L_at_receipt > 0).any() for tr in g3)
-    g4 = [run_execution(g, 0, Gossip4(0.5, 1, 2), seed) for seed in range(3)]
-    assert any(not tr.received.all() for tr in g4)
-    for label, traces in (("gossip3", g3), ("gossip4", g4)):
-        for seed, tr in enumerate(traces):
-            path = tmp_path / f"{label}_{seed}.csv"
-            tr.to_csv(str(path))
-            got[f"trace/{label}_{seed}"] = _digest(path.read_bytes())
-
     for label, graph in (("grid", build_topology(Grid(5, 7))), ("rgg", g)):
         path = tmp_path / f"{label}.edges"
         save_edgelist(graph, str(path))
@@ -116,12 +104,6 @@ WRITER_DIGESTS = {
     "report/report_overhead.dat": "0a5c349d9f548a8574bf07a9ab447e1f4d8f53be1c27a9cc63e828ea6730fb61",
     "report/report_theta.dat": "1d8b46663d529dc37277821b8ec0a4a316f3da68b07066b65c7baa940f3532f6",
     "route_discovery": "761077c26ad861577db4dd6cb23c4f4aa295cc54cd5eb9ea3e220892ebb95845",
-    "trace/gossip3_0": "dbabd4858d9b23262408f191fcc5cc122383962996cbb2da23ac803168c8d18c",
-    "trace/gossip3_1": "db71b8230eb1fdc989d4205606b6a61eb6d265ea9b81537af7eef7628c5dfb4e",
-    "trace/gossip3_2": "350eb021ff79fb86297d4ea6eb3590d795579497488b44a9be97c9ec7024fb74",
-    "trace/gossip4_0": "3cfa60e3a80cad7ed3038d7ae9e5e57c537d769212ff0a3eb6d7b08baa92acb6",
-    "trace/gossip4_1": "9a0ee823d1f1e43fc99cfac58a94e13436b0ddae7df39bf110b7b62990eadd67",
-    "trace/gossip4_2": "b4bea35897c65857c1eff317121afd1a30abc82523879f84429727a451ad0ba7",
 }
 
 
