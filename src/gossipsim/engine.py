@@ -32,12 +32,12 @@ once per round that has a sender.  A gather may pad a sender's targets with
 the sender itself (see `topology`): a sender has received, so a pad never
 beats its key, and the copy count and L maximum a pad adds to are never read
 once a node sends.  Every trace array has n entries.  A pooled run's worker
-writes only what cannot be rebuilt (see `_record_layout`) into a record of a
-shared anonymous `mmap`, a ring of 2 * workers slots of at most SLOT_BYTES
-(one record at least), and the pipe carries only the run's broadcast count
-and which arrays it wrote.  The parent rebuilds the trace from copies of the
-record (`_read_records`) and then releases the slot's pages (MADV_REMOVE); no
-trace array is unpickled in the pool's result thread.
+writes the arrays that the spec's loop can set (see `_record_layout`) into a
+record of a shared anonymous `mmap`, a ring of 2 * workers slots of at most
+SLOT_BYTES (one record at least), and the pipe carries no data.  The parent
+rebuilds the trace from copies of the record (`_read_records`) and then
+releases the slot's pages (MADV_REMOVE); no trace array is unpickled in the
+pool's result thread.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def run_execution(g: Graph, source: int, spec: ProtocolSpec, seed: int) -> Execu
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} outside graph of size {g.n}")
     draws = unit_uniforms(seed, np.arange(g.n, dtype=np.int64))
-    loop = _keyed_rounds if isinstance(spec, Gossip3) and spec.m > 0 else _lean_rounds
+    loop = _keyed_rounds if _keyed(spec) else _lean_rounds
     arrays = loop(g, source, spec, draws)
     fields = dict(zip(_ARRAY_FIELDS, arrays), source=int(source), protocol=spec, seed=int(seed))
     return ExecutionTrace(**fields, broadcast_count=int(np.count_nonzero(fields["forwarded"])))
@@ -225,69 +225,61 @@ def _keyed_rounds(g: Graph, source: int, spec: Gossip3, draws: np.ndarray) -> tu
 
 
 _POOL_STATE: dict = {}
-SLOT_BYTES = 8 << 20  # of run records in one ring slot, which holds one record at least
+SLOT_BYTES = 4 << 20  # of run records in one ring slot, which holds one record at least
 
 
-def _record_layout(n: int) -> list:
-    """(dtype, start, end) in bytes of each array of one run's ring record,
-    which holds only what cannot be rebuilt: receive_round, parent, forwarded
-    (bits), and, when not the lean defaults, hop, timeout_forward (bits) and
-    L_at_receipt; the last end is the record's size.  A lean run touches only
-    the first 8n + n/8 bytes."""
+def _keyed(spec: ProtocolSpec) -> bool:
+    """Only Gossip3 with m > 0 can time out, so only its traces can have a hop
+    other than the receive round, timeout forwards or a non-zero L."""
+    return isinstance(spec, Gossip3) and spec.m > 0
+
+
+def _record_layout(n: int, spec: ProtocolSpec) -> list:
+    """(field, dtype, start, end) in bytes of each array of one run's ring
+    record: receive_round, parent and forwarded (bits), and for a keyed spec
+    also hop, timeout_forward (bits) and L_at_receipt; the last end is the
+    record's size, 8n + ceil(n / 8) bytes lean and 16n + 2 * ceil(n / 8) keyed."""
     bits = (n + 7) // 8
+    arrays = [("receive_round", np.int32, 4 * n), ("parent", np.int32, 4 * n), ("forwarded", np.uint8, bits)]
+    if _keyed(spec):
+        arrays += [("hop", np.int32, 4 * n), ("timeout_forward", np.uint8, bits), ("L_at_receipt", np.int32, 4 * n)]
     layout, end = [], 0
-    for dtype, size in ((np.int32, 4 * n), (np.int32, 4 * n), (np.uint8, bits),
-                        (np.int32, 4 * n), (np.uint8, bits), (np.int32, 4 * n)):
-        layout.append((dtype, end, end + size))
+    for name, dtype, size in arrays:
+        layout.append((name, dtype, end, end + size))
         end += size
     return layout
 
 
 def _pool_init(g: Graph, source: int, spec: ProtocolSpec, ring: mmap.mmap) -> None:
-    _POOL_STATE["args"] = (g, source, spec, ring, _record_layout(g.n))
+    _POOL_STATE["args"] = (g, source, spec, ring, _record_layout(g.n, spec))
 
 
-def _pool_run(at: int, seeds: list) -> list:
-    """Run each seed into the ring's records from byte `at` on; return each
-    run's broadcast count and the bit mask of the record's arrays it wrote."""
+def _pool_run(at: int, seeds: list) -> None:
+    """Write each seed's run into the ring's records from byte `at` on."""
     g, source, spec, ring, layout = _POOL_STATE["args"]
-    size = layout[-1][2]
-    shipped = []
+    size = layout[-1][-1]
     for base, seed in zip(range(at, at + len(seeds) * size, size), seeds):
         tr = run_execution(g, source, spec, seed)
-        arrays = (tr.receive_round, tr.parent, np.packbits(tr.forwarded),
-                  None if tr.hop is tr.receive_round else tr.hop,
-                  np.packbits(tr.timeout_forward) if tr.timeout_forward.any() else None,
-                  tr.L_at_receipt if tr.L_at_receipt.any() else None)
-        wrote = 0
-        for i, (a, (_, start, end)) in enumerate(zip(arrays, layout)):
-            if a is not None:
-                ring[base + start:base + end] = a
-                wrote |= 1 << i
-        shipped.append((tr.broadcast_count, wrote))
-    return shipped
+        for name, dtype, start, end in layout:
+            a = getattr(tr, name)
+            ring[base + start:base + end] = np.packbits(a) if dtype is np.uint8 else a
 
 
-def _read_records(ring: mmap.mmap, layout: list, at: int, shipped: list, seeds: list,
-                  source: int, spec: ProtocolSpec) -> list:
+def _read_records(ring: mmap.mmap, layout: list, at: int, seeds: list, source: int, spec: ProtocolSpec) -> list:
     """The traces in the ring's records from byte `at` on, rebuilt from copies;
-    an unwritten hop is the receive_round array, and the unwritten timeout
-    fields are zero arrays that the chunk's traces share read-only."""
-    size, n = layout[-1][2], layout[0][2] // 4
+    a lean trace's hop is its receive_round array, and its timeout fields are
+    zero arrays that the chunk's traces share read-only."""
+    size, n = layout[-1][-1], layout[0][-1] // 4
     no_flags, no_L = np.zeros(n, bool), np.zeros(n, np.int32)
     traces = []
-    for base, (count, wrote), seed in zip(range(at, at + len(seeds) * size, size), shipped, seeds):
-        receive_round, parent, forwarded, hop, timeout_forward, L_at_receipt = (
-            np.frombuffer(ring[base + start:base + end], dtype) if wrote >> i & 1 else None
-            for i, (dtype, start, end) in enumerate(layout)
-        )
-        traces.append(ExecutionTrace(
-            source=source, protocol=spec, seed=seed, received=receive_round >= 0, receive_round=receive_round,
-            hop=receive_round if hop is None else hop, parent=parent,
-            forwarded=np.unpackbits(forwarded, count=n).view(bool),
-            timeout_forward=no_flags if timeout_forward is None else np.unpackbits(timeout_forward, count=n).view(bool),
-            L_at_receipt=no_L if L_at_receipt is None else L_at_receipt, broadcast_count=count,
-        ))
+    for base, seed in zip(range(at, at + len(seeds) * size, size), seeds):
+        fields = {"timeout_forward": no_flags, "L_at_receipt": no_L}
+        for name, dtype, start, end in layout:
+            a = np.frombuffer(ring[base + start:base + end], dtype)
+            fields[name] = np.unpackbits(a, count=n).view(bool) if dtype is np.uint8 else a
+        fields.setdefault("hop", fields["receive_round"])
+        traces.append(ExecutionTrace(source=source, protocol=spec, seed=seed, received=fields["receive_round"] >= 0,
+                                     broadcast_count=int(np.count_nonzero(fields["forwarded"])), **fields))
     return traces
 
 
@@ -304,10 +296,10 @@ def iter_batch(
     Output is identical for any worker count; with workers > 1 a pool of
     min(workers, runs) processes executes the runs in chunks of
     max(1, runs // (workers * 8)) runs, cut to fit SLOT_BYTES (one run at least,
-    each at most 16n + 2 * ceil(n / 8) bytes), yielded in run order.  A worker
-    writes each run's ring record into a chunk slot (whole pages) of a shared
-    ring and returns only its broadcast count and which arrays it wrote; chunk j's
-    slot is released once copied out, before chunk j + depth = 2 * workers reuses it.
+    each 8n + ceil(n / 8) bytes, or 16n + 2 * ceil(n / 8) under Gossip3 with
+    m > 0), yielded in run order.  A worker writes each run's ring record into a
+    chunk slot (whole pages) of a shared ring and returns nothing; chunk j's slot
+    is released once copied out, before chunk j + depth = 2 * workers reuses it.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -318,11 +310,11 @@ def iter_batch(
     if workers <= 1:
         yield from (run_execution(g, source, spec, s) for s in seeds)
         return
-    layout = _record_layout(g.n)
-    chunk = max(1, min(runs // (workers * 8), SLOT_BYTES // layout[-1][2]))
+    layout = _record_layout(g.n, spec)
+    chunk = max(1, min(runs // (workers * 8), SLOT_BYTES // layout[-1][-1]))
     firsts = range(0, runs, chunk)
     depth = min(2 * workers, len(firsts))  # chunks in flight, one ring slot each
-    slot = -(-chunk * layout[-1][2] // mmap.PAGESIZE) * mmap.PAGESIZE
+    slot = -(-chunk * layout[-1][-1] // mmap.PAGESIZE) * mmap.PAGESIZE
     ctx = multiprocessing.get_context("fork")
     ring = mmap.mmap(-1, depth * slot)
     try:
@@ -334,8 +326,8 @@ def iter_batch(
             pending = deque(submit(j) for j in range(depth))
             for j, first in enumerate(firsts):
                 at = j % depth * slot
-                traces = _read_records(ring, layout, at, pending.popleft().get(),
-                                       seeds[first:first + chunk], source, spec)
+                pending.popleft().get()  # waits for the chunk; re-raises a worker's error
+                traces = _read_records(ring, layout, at, seeds[first:first + chunk], source, spec)
                 if hasattr(mmap, "MADV_REMOVE"):  # frees the slot's shared pages in every process
                     ring.madvise(mmap.MADV_REMOVE, at, slot)
                 if j + depth < len(firsts):

@@ -323,8 +323,10 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _setup(cfg: ExperimentConfig, out_dir: Optional[str]) -> tuple[ResultSet, Graph, DistanceMap]:
+def _setup(cfg: ExperimentConfig, out_dir: Optional[str], workers: int) -> tuple[ResultSet, Graph, DistanceMap]:
     """Graph, source, distances and the graph-dependent checks; writes nothing."""
+    if workers < 1:  # iter_batch checks it too, but a batch-free config never gets there
+        raise ValueError("workers must be >= 1")
     g = build_topology(cfg.topology)
     source = resolve_source(cfg, g)
     dmap = hop_distances(g, source)
@@ -434,7 +436,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None, workers
         return sweep_probability(cfg, out_dir, workers)
     if cfg.protocol is None:
         raise ConfigError("run requires a protocol")
-    rs, g, dmap = _setup(cfg, out_dir)
+    rs, g, dmap = _setup(cfg, out_dir, workers)
     metrics = {name: entry for name, entry in _METRICS.items() if name in cfg.metrics}
     accs = {}
     for make, _ in metrics.values():
@@ -483,7 +485,7 @@ def sweep_probability(cfg: ExperimentConfig, out_dir: Optional[str] = None, work
     """Theta estimate per probability in the sweep list; emits the curve CSV."""
     if cfg.p_sweep is None:
         raise ConfigError("sweep requires p_sweep and sweep_k")
-    rs, g, dmap = _setup(cfg, out_dir)
+    rs, g, dmap = _setup(cfg, out_dir, workers)
     rows = []
     for j, p in enumerate(cfg.p_sweep):
         acc = M.CoverageAccumulator(dmap, cfg.band)

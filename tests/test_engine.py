@@ -1,7 +1,6 @@
 import hashlib
 import mmap
 import multiprocessing
-from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -163,12 +162,12 @@ def test_abandoned_pooled_batch_closes_its_ring_after_the_pool(grid20x50, monkey
     (Grid(20, 50), Gossip3(0.5, 1, 1, 2), 37, 0.5, 1),
     # 4 runs per chunk by the cap (runs // 16 is 6), the last of 26 chunks one run
     (Grid(20, 50), Gossip3(0.5, 1, 1, 2), 101, 4, 4),
-    # the default cap holds 5 of the 300x300 grid's 1.46 MB records; 20 chunks, the last one run
+    # the default cap holds 5 of the 300x300 grid's 0.73 MB lean records at 4 MiB; 20 chunks, the last one run
     (Grid(300, 300), Gossip1(0.5, 0), 96, None, 5),
 ])
 def test_ring_slots_capped_and_released_before_reuse(graph, spec, runs, cap, chunk, monkeypatch):
     g = build_topology(graph)
-    record = engine._record_layout(g.n)[-1][2]
+    record = engine._record_layout(g.n, spec)[-1][-1]
     if cap is not None:
         monkeypatch.setattr(engine, "SLOT_BYTES", int(cap * record))  # in records
     events, mapped = [], []
@@ -226,33 +225,16 @@ def test_ring_slots_capped_and_released_before_reuse(graph, spec, runs, cap, chu
     assert events == expected
 
 
-@pytest.mark.parametrize("topology", [None, Grid(300, 300)])
-def test_pool_result_pickles_to_a_few_bytes_per_run(topology, monkeypatch):
-    # the arrays go through the ring; the result pipe carries a count and a mask per run
-    g = random_graph(100, 0.05, 1) if topology is None else build_topology(topology)
-    monkeypatch.setattr(engine, "_POOL_STATE", {})
-    seeds = [child_seed(7, i) for i in range(4)]
-    layout = engine._record_layout(g.n)
-    for spec in (FLOODING, Gossip3(0.5, 1, 1, 2)):
-        ring = mmap.mmap(-1, len(seeds) * layout[-1][2])
-        engine._pool_init(g, 0, spec, ring)
-        shipped = engine._pool_run(0, seeds)
-        assert len(ForkingPickler.dumps(shipped)) <= 16 * len(seeds), (g.n, spec, shipped)
-        back = engine._read_records(ring, layout, 0, shipped, seeds, 0, spec)
-        ring.close()
-        for seed, tr in zip(seeds, back):
-            assert tr.same_outcome(run_execution(g, 0, spec, seed)), (g.n, spec, seed)
-
-
 def _through_ring(g, spec, seeds, monkeypatch):
-    """Each seed's run as a pool worker ships it: its ring record and the trace read back."""
+    """Each seed's run as a pool worker ships it, read back from its ring record;
+    the worker's result, the only thing the pipe carries, is None."""
     monkeypatch.setattr(engine, "_POOL_STATE", {})
-    layout = engine._record_layout(g.n)
-    ring = mmap.mmap(-1, len(seeds) * layout[-1][2])
+    layout = engine._record_layout(g.n, spec)
+    ring = mmap.mmap(-1, len(seeds) * layout[-1][-1])
     try:
         engine._pool_init(g, 0, spec, ring)
-        shipped = engine._pool_run(0, seeds)
-        return shipped, engine._read_records(ring, layout, 0, shipped, seeds, 0, spec)
+        assert engine._pool_run(0, seeds) is None
+        return engine._read_records(ring, layout, 0, seeds, 0, spec)
     finally:
         ring.close()
 
@@ -264,9 +246,9 @@ def test_ring_round_trip_every_protocol(monkeypatch):
     specs = [FLOODING, Gossip1(0.6, 1), Gossip2(0.4, 1, 0.9, 4), Gossip4(0.6, 1, 2), Gossip3(0.5, 1, 0, 2),
              Gossip3(0.4, 1, 1, 2), Gossip3(0.0, 0, 1, 2)]
     timed_out = False
-    for graph in (g, single, isolated):
+    for graph in (g, single, isolated, random_graph(100, 0.05, 1), build_topology(Grid(300, 300))):
         for spec in specs:
-            _, backs = _through_ring(graph, spec, list(range(10)), monkeypatch)
+            backs = _through_ring(graph, spec, list(range(10)), monkeypatch)
             for seed, back in enumerate(backs):
                 tr = run_execution(graph, 0, spec, seed)
                 assert back.same_outcome(tr), (graph.n, spec, seed)
@@ -282,20 +264,23 @@ def test_ring_round_trip_every_protocol(monkeypatch):
     assert timed_out
 
 
-def test_ring_record_writes_only_what_cannot_be_rebuilt(grid20x50, monkeypatch):
-    # bits 0-2: receive_round, parent and forwarded, written for every run;
-    # bits 3-5: hop, timeout_forward and L, written only when not the lean defaults
-    seeds = [child_seed(3, i) for i in range(4)]
-    for spec in (FLOODING, Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip4(0.6, 1, 2), Gossip3(0.5, 1, 0, 2)):
-        shipped, _ = _through_ring(grid20x50, spec, seeds, monkeypatch)
-        assert [wrote for _, wrote in shipped] == [0b111] * len(seeds), spec
-    # gossip3 with m > 0 ships its hop, and once a node times out its timeout
-    # flags and, when a timeout forward reached anyone new, its L
-    seeds = [child_seed(2024, i) for i in range(8)]
-    shipped, backs = _through_ring(grid20x50, Gossip3(0.5, 1, 1, 2), seeds, monkeypatch)
-    for (_, wrote), tr in zip(shipped, backs):
-        assert wrote == 0b1111 | tr.timeout_forward.any() << 4 | tr.L_at_receipt.any() << 5
-    assert 0b111111 in [wrote for _, wrote in shipped]
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+def test_ring_record_layout_follows_the_spec(n):
+    # only gossip3 with m > 0 can set hop apart from receive_round, timeout
+    # flags or L, so only its record holds them
+    bits = -(-n // 8)
+    lean = ["receive_round", "parent", "forwarded"]
+    keyed = lean + ["hop", "timeout_forward", "L_at_receipt"]
+    cases = [(spec, lean, 8 * n + bits) for spec in (
+        FLOODING, Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip4(0.6, 1, 2), Gossip3(0.5, 1, 0, 2))]
+    for spec, fields, size in cases + [(Gossip3(0.5, 1, 1, 2), keyed, 16 * n + 2 * bits)]:
+        layout = engine._record_layout(n, spec)
+        assert [field for field, *_ in layout] == fields, spec
+        # packed end to end, ints as int32 and booleans as bits
+        assert [start for _, _, start, _ in layout] == [0] + [end for *_, end in layout[:-1]]
+        assert [(dtype, end - start) for _, dtype, start, end in layout] == [
+            (np.uint8, bits) if field in ("forwarded", "timeout_forward") else (np.int32, 4 * n) for field in fields]
+        assert layout[-1][-1] == size, spec
 
 
 def test_pool_size_capped_at_run_count(grid20x50, monkeypatch):

@@ -472,6 +472,23 @@ def test_cli_runs_override_is_checked(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_nonpositive_workers_rejected_before_any_work(tmp_path, capsys, monkeypatch, workers):
+    # a route_discovery-only config runs no batch, so iter_batch's check never sees workers
+    text = TINY.replace("metrics: bimodal profile overhead", "metrics: route_discovery")
+    cfg_path = tmp_path / "route.cfg"
+    cfg_path.write_text(text + "route_distance: 5\nroute_queries: 5\n")
+    built = []
+    monkeypatch.setattr(experiments, "build_topology", lambda spec: built.append(spec))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--workers", str(workers)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "workers must be >= 1"}
+    for run, cfg in ((run_experiment, parse_config(str(cfg_path))), (sweep_probability, parse_config_text(SWEEP))):
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            run(cfg, out_dir=str(tmp_path / "lib"), workers=workers)
+    assert built == [] and not (tmp_path / "out").exists() and not (tmp_path / "lib").exists()
+
+
 def test_replace_checks_the_config():
     cfg = parse_config_text(TINY)
     for change in (
