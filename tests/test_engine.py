@@ -1,6 +1,7 @@
 import hashlib
 import mmap
 import multiprocessing
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -264,23 +265,44 @@ def test_ring_round_trip_every_protocol(monkeypatch):
     assert timed_out
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
-def test_ring_record_layout_follows_the_spec(n):
+def test_ring_record_writes_only_what_cannot_be_rebuilt():
     # only gossip3 with m > 0 can set hop apart from receive_round, timeout
     # flags or L, so only its record holds them
-    bits = -(-n // 8)
     lean = ["receive_round", "parent", "forwarded"]
     keyed = lean + ["hop", "timeout_forward", "L_at_receipt"]
-    cases = [(spec, lean, 8 * n + bits) for spec in (
-        FLOODING, Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip4(0.6, 1, 2), Gossip3(0.5, 1, 0, 2))]
-    for spec, fields, size in cases + [(Gossip3(0.5, 1, 1, 2), keyed, 16 * n + 2 * bits)]:
-        layout = engine._record_layout(n, spec)
-        assert [field for field, *_ in layout] == fields, spec
-        # packed end to end, ints as int32 and booleans as bits
-        assert [start for _, _, start, _ in layout] == [0] + [end for *_, end in layout[:-1]]
-        assert [(dtype, end - start) for _, dtype, start, end in layout] == [
-            (np.uint8, bits) if field in ("forwarded", "timeout_forward") else (np.int32, 4 * n) for field in fields]
-        assert layout[-1][-1] == size, spec
+    for n in (1, 7, 8, 9, 1000):
+        bits = -(-n // 8)
+        cases = [(spec, lean, 8 * n + bits) for spec in (
+            FLOODING, Gossip1(0.7, 4), Gossip2(0.4, 1, 0.9, 4), Gossip4(0.6, 1, 2), Gossip3(0.5, 1, 0, 2))]
+        for spec, fields, size in cases + [(Gossip3(0.5, 1, 1, 2), keyed, 16 * n + 2 * bits)]:
+            layout = engine._record_layout(n, spec)
+            assert [field for field, *_ in layout] == fields, (n, spec)
+            # packed end to end, ints as int32 and booleans as bits
+            assert [start for _, _, start, _ in layout] == [0] + [end for *_, end in layout[:-1]]
+            assert [(dtype, end - start) for _, dtype, start, end in layout] == [
+                (np.uint8, bits) if field in ("forwarded", "timeout_forward") else (np.int32, 4 * n)
+                for field in fields]
+            assert layout[-1][-1] == size, (n, spec)
+
+
+@pytest.mark.parametrize("topology", [None, Grid(300, 300)])
+def test_pool_result_pickles_to_a_few_bytes_per_run(topology, monkeypatch):
+    # the arrays go through the ring; the result pipe carries no data
+    g = random_graph(100, 0.05, 1) if topology is None else build_topology(topology)
+    seeds = [child_seed(7, i) for i in range(4)]
+    for spec in (FLOODING, Gossip3(0.5, 1, 1, 2)):
+        monkeypatch.setattr(engine, "_POOL_STATE", {})
+        layout = engine._record_layout(g.n, spec)
+        ring = mmap.mmap(-1, len(seeds) * layout[-1][-1])
+        try:
+            engine._pool_init(g, 0, spec, ring)
+            result = engine._pool_run(0, seeds)
+            assert len(ForkingPickler.dumps(result)) <= 16 * len(seeds), (g.n, spec, result)
+            back = engine._read_records(ring, layout, 0, seeds, 0, spec)
+        finally:
+            ring.close()
+        for seed, tr in zip(seeds, back):
+            assert tr.same_outcome(run_execution(g, 0, spec, seed)), (g.n, spec, seed)
 
 
 def test_pool_size_capped_at_run_count(grid20x50, monkeypatch):
