@@ -19,7 +19,6 @@ from .topology import (
     RegularMesh,
     TopologySpec,
     build_topology,
-    degree_stats,
     grid_index,
     hop_distances,
     save_edgelist,
@@ -41,7 +40,6 @@ __all__ = [
     "TopologySpec",
     "UNREACHABLE",
     "build_topology",
-    "degree_stats",
     "grid_index",
     "hop_distances",
     "iter_batch",

@@ -91,6 +91,9 @@ class ExperimentConfig:
         """Every check that needs no graph, so a config in hand is valid."""
         if not self.name:
             raise ConfigError("name must be non-empty")
+        if isinstance(self.topology, RandomGeometric) and self.source.kind in ("left_row", "center_row"):
+            if self.source.value != 0:  # an rgg has no rows: row 0 names its west edge or centre
+                raise ConfigError(f"source {self.source.kind} {self.source.value}: an rgg takes only row 0")
         for key in ("runs", "route_distance", "route_queries", "route_attempts", "route_min_distance"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
@@ -136,10 +139,6 @@ class ResultSet:
     excluded_nodes: int
     artifacts: dict[str, str]  # filename -> sha256
     results: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.out_dir, "manifest.json")
 
 
 # The value parsers read a value's shape; the specs they build check its
@@ -265,7 +264,7 @@ def resolve_source(cfg: ExperimentConfig, g: Graph) -> int:
         if placement.kind == "left_row":
             return grid_index(spec.rows, spec.cols, placement.value, 0)
         return grid_index(spec.rows, spec.cols, placement.value, spec.cols // 2)
-    # geometric graphs: westmost node / node nearest the region center
+    # geometric graphs, row 0 only (the config checks): westmost node / node nearest the region center
     if placement.kind == "left_row":
         return int(np.argmin(g.coords[:, 0]))
     center = np.array([spec.width / 2.0, spec.height / 2.0])
@@ -370,7 +369,7 @@ def _emit(rs: ResultSet, writers: dict[str, Callable[[str], None]]) -> ResultSet
         "artifacts": rs.artifacts,
         "hash": combined.hexdigest(),
     }
-    write_rows(rs.manifest_path, json.dumps(manifest, indent=2, sort_keys=True), [])
+    write_rows(os.path.join(rs.out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True), [])
     return rs
 
 
@@ -511,18 +510,17 @@ def load_manifest(result_dir: str) -> dict:
     return manifest
 
 
-def _read_rows(result_dir: str, name: str) -> list[dict]:
-    """Rows of a result CSV keyed by its header; none if the file is absent."""
-    path = os.path.join(result_dir, name)
-    if not os.path.exists(path):
+def _read_rows(result_dir: str, manifest: dict, name: str) -> list[dict]:
+    """Rows of a result CSV keyed by its header; none unless the manifest lists it."""
+    if name not in manifest.get("artifacts", {}):
         return []
-    with open(path, newline="") as f:
+    with open(os.path.join(result_dir, name), newline="") as f:
         return list(csv.DictReader(f))
 
 
-def _first_cell(result_dir: str, name: str, column: str) -> Optional[float]:
-    """`column` of a result CSV's first row; None if the file is absent."""
-    rows = _read_rows(result_dir, name)
+def _first_cell(result_dir: str, manifest: dict, name: str, column: str) -> Optional[float]:
+    """`column` of a result CSV's first row; None unless the manifest lists it."""
+    rows = _read_rows(result_dir, manifest, name)
     return float(rows[0][column]) if rows else None
 
 
@@ -550,17 +548,17 @@ def report(result_dirs: list[str], out_dir: str = ".") -> str:
         name = manifest["config"]["name"]
         proto = manifest["config"].get("protocol") or "sweep"
         theta_s = None
-        ratio = _first_cell(d, "overhead.csv", "ratio")
+        ratio = _first_cell(d, manifest, "overhead.csv", "ratio")
         if ratio is not None:
             overhead_rows.append((name, ratio))
-        route = _first_cell(d, "route_summary.csv", "success_rate")
-        stretch = _first_cell(d, "route_length.csv", "mean_ratio")
+        route = _first_cell(d, manifest, "route_summary.csv", "success_rate")
+        stretch = _first_cell(d, manifest, "route_length.csv", "mean_ratio")
         for theta_name in ("theta.csv", "theta_curve.csv"):
-            pts = [(float(r["p"]), float(r["theta_S"])) for r in _read_rows(d, theta_name)]
+            pts = [(float(r["p"]), float(r["theta_S"])) for r in _read_rows(d, manifest, theta_name)]
             if pts:
                 theta_s = pts[-1][1]
                 theta_blocks.append((name, pts))
-        tails = {r["bin_lo"]: float(r["run_fraction"]) for r in _read_rows(d, "bimodal.csv")}
+        tails = {r["bin_lo"]: float(r["run_fraction"]) for r in _read_rows(d, manifest, "bimodal.csv")}
         cells = (ratio, theta_s, *map(tails.get, ("below_10pct", "above_80pct", "above_90pct")), route, stretch)
         lines.append(_TABLE_ROW.format(name, proto, *("" if x is None else f"{x:.3f}" for x in cells)))
 

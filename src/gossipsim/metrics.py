@@ -42,9 +42,6 @@ class DistanceProfile:
     stderr: np.ndarray
     runs: int
 
-    def at(self, d: int) -> float:
-        return float(self.fraction[d])
-
     def to_csv(self, path_or_file) -> None:
         rows = zip(self.distances, self.node_count, self.fraction, self.stderr)
         write_rows(path_or_file, "distance,count,fraction,stderr", rows)
@@ -62,10 +59,6 @@ class BimodalSummary:
     frac_below_20pct: float
     frac_above_80pct: float
     frac_above_90pct: float
-
-    @property
-    def runs(self) -> int:
-        return self.coverages.size
 
     def to_csv(self, path_or_file) -> None:
         rows = list(zip(self.bin_edges[:-1], self.bin_edges[1:], self.bin_fraction))
@@ -100,10 +93,7 @@ class OverheadReport:
 
 
 class _Consumer:
-    """Base for one-pass trace accumulators."""
-
-    def add(self, trace: ExecutionTrace) -> None:
-        raise NotImplementedError
+    """Base for one-pass trace accumulators; each defines its own `add`."""
 
     def consume(self, traces: Iterable[ExecutionTrace]) -> "_Consumer":
         count = 0

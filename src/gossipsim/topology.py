@@ -158,13 +158,6 @@ class DistanceMap:
         return np.bincount(reach, minlength=self.max_distance + 1)
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    min_degree: int
-    max_degree: int
-    mean_degree: float
-
-
 def _expand(ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenation of the ranges ends[i] - lens[i] .. ends[i] - 1."""
     cum = lens.cumsum()
@@ -313,14 +306,6 @@ def hop_distances(g: Graph, source: int) -> DistanceMap:
     dist = _levels(g, np.array([source], dtype=np.intp), None)
     dist.flags.writeable = False
     return DistanceMap(source=int(source), dist=dist)
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    return DegreeStats(
-        min_degree=int(g.degrees.min()),
-        max_degree=int(g.degrees.max()),
-        mean_degree=float(g.degrees.mean()),
-    )
 
 
 def ball_distances(g: Graph, center: int, radius: int) -> tuple[np.ndarray, np.ndarray]:

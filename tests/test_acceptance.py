@@ -19,7 +19,6 @@ from gossipsim import (
     Gossip4,
     UNREACHABLE,
     build_topology,
-    degree_stats,
     hop_distances,
     run_execution,
 )
@@ -109,7 +108,7 @@ def test_criterion_04_random_graph_bimodality(canned):
     print("\ncriterion 4: random-graph bimodality (1000 nodes, band 15-35)")
     rs = canned.get("rnd8_bimodal")
     g = build_topology(rs.config.topology)
-    mean_deg = degree_stats(g).mean_degree
+    mean_deg = g.degrees.mean()
     bs = rs.results["bimodal"]
     oks = []
     _check(oks, "mean degree 8+-0.5", 7.5 <= mean_deg <= 8.5, f"{mean_deg:.2f}")
@@ -214,15 +213,15 @@ def test_criterion_09_zones(canned):
     print("\ncriterion 9: zones (100-node random graph, gossip 0.65, k=1)")
     rs = canned.get("zones100")
     g = build_topology(rs.config.topology)
-    mean_deg = degree_stats(g).mean_degree
+    mean_deg = g.degrees.mean()
     plain = rs.results["profile"]
     zoned = rs.results["zone_coverage"]
     oks = []
     _check(oks, "mean degree 13 +- 1", 12.0 <= mean_deg <= 14.0, f"{mean_deg:.2f}")
     _check(oks, "coverage at distance 10 = 76% +- 8pp without zones",
-           0.68 <= plain.at(10) <= 0.84, f"{plain.at(10):.3f}")
+           0.68 <= plain.fraction[10] <= 0.84, f"{plain.fraction[10]:.3f}")
     _check(oks, "coverage at distance 10 >= 92% with zone radius 3",
-           zoned.at(10) >= 0.92, f"{zoned.at(10):.3f}")
+           zoned.fraction[10] >= 0.92, f"{zoned.fraction[10]:.3f}")
     assert all(oks)
 
 

@@ -117,6 +117,16 @@ def test_parse_roundtrip():
         # the route-length floor is at least one hop
         ("runs: 40", "runs: 40\nroute_min_distance: 0"),
         ("runs: 40", "runs: 40\nroute_min_distance: -5"),
+        # out-of-range values, a malformed band and malformed lines
+        ("runs: 40", "runs: 40\nextinction_threshold: 1.5"),
+        ("protocol: gossip1 0.7 2\nruns: 40\nbase_seed: 99\nband: 2 8\nmetrics: bimodal profile overhead",
+         "p_sweep: 0.5 1.2\nsweep_k: 2\nruns: 40\nbase_seed: 99\nband: 2 8\nmetrics: theta"),
+        ("band: 2 8", "band: 3"),
+        ("name: tiny", "name tiny"),
+        ("runs: 40", "runs: 40\nruns: 41"),
+        # an rgg has no rows: only row 0 names a node there
+        ("topology: grid 8 12", "topology: rgg 60 1000 600 200 3"),
+        ("topology: grid 8 12\nsource: left_row 4", "topology: rgg 60 1000 600 200 3\nsource: center_row 4"),
     ],
 )
 def test_bad_configs_rejected(mutation):
@@ -249,12 +259,29 @@ def test_source_resolution_graph_positions():
     assert resolve_source(cfg_r, g) == s  # deterministic
 
 
+_TINY_RGG = TINY.replace("topology: grid 8 12", "topology: rgg 60 1000 600 200 3")
+
+
 def test_source_resolution_rgg_westmost():
-    cfg = parse_config_text(
-        TINY.replace("topology: grid 8 12", "topology: rgg 60 1000 600 200 3")
-    )
+    with pytest.raises(ConfigError, match="^source left_row 4: an rgg takes only row 0$"):
+        parse_config_text(_TINY_RGG)
+    cfg = parse_config_text(_TINY_RGG.replace("left_row 4", "left_row 0"))
     g = build_topology(cfg.topology)
     assert resolve_source(cfg, g) == int(np.argmin(g.coords[:, 0]))
+
+
+def test_source_resolution_rgg_center():
+    cfg = parse_config_text(_TINY_RGG.replace("left_row 4", "center_row 0"))
+    g = build_topology(cfg.topology)
+    d2 = [(x - 500.0) ** 2 + (y - 300.0) ** 2 for x, y in g.coords]
+    assert resolve_source(cfg, g) == d2.index(min(d2))
+
+
+def test_source_node_outside_graph_writes_nothing(tmp_path):
+    cfg = parse_config_text(TINY.replace("left_row 4", "node 999"))
+    with pytest.raises(ConfigError, match="source node 999 outside graph"):
+        run_experiment(cfg, out_dir=str(tmp_path / "n999"))
+    assert not (tmp_path / "n999").exists()
 
 
 def test_boundary_mask_lattice_and_rgg():
@@ -358,6 +385,22 @@ def test_report_reads_columns_by_header(tmp_path):
     assert row.split() == ["profile_only", "gossip1(0.6,1)"]
     assert (tmp_path / "report_overhead.dat").read_text().splitlines()[1] == "shuffled 0.4"
     assert "0.6 0.25\n0.7 0.75\n" in (tmp_path / "report_theta.dat").read_text()
+
+
+def test_report_reads_only_what_the_manifest_lists(tmp_path):
+    # a profile-only rerun into a bimodal run's directory leaves its
+    # overhead.csv and bimodal.csv behind, unlisted and unchecked
+    canned = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "grid_p65_bimodal.cfg")
+    cfg = replace(parse_config(canned), runs=20)
+    out = str(tmp_path / "reused")
+    run_experiment(cfg, out_dir=out)
+    run_experiment(replace(cfg, metrics=frozenset({"profile"})), out_dir=out)
+    assert sorted(load_manifest(out)["artifacts"]) == ["profile.csv"]
+    assert os.path.exists(os.path.join(out, "overhead.csv"))
+    table = report([out], out_dir=str(tmp_path))
+    row = [ln for ln in table.splitlines() if ln.startswith("grid_p65_bimodal")][0]
+    assert row.split() == ["grid_p65_bimodal", "gossip1(0.65,4)"]
+    assert (tmp_path / "report_overhead.dat").read_text().splitlines() == ["# experiment ratio"]
 
 
 def test_report_errors(tmp_path):

@@ -12,7 +12,6 @@ from gossipsim import (
     RandomGeometric,
     RegularMesh,
     build_topology,
-    degree_stats,
     grid_index,
     hop_distances,
 )
@@ -26,20 +25,18 @@ from conftest import random_graph
 def test_grid_20x50_shape():
     g = build_topology(Grid(20, 50))
     assert g.n == 1000
-    stats = degree_stats(g)
-    assert stats.min_degree == 2 and stats.max_degree == 4
+    assert g.degrees.min() == 2 and g.degrees.max() == 4
     # direct count: 4 corners of degree 2, 2*48+2*18 edge nodes of degree 3,
     # 18*48 interior nodes of degree 4
     expected = (4 * 2 + (2 * 48 + 2 * 18) * 3 + 18 * 48 * 4) / 1000
-    assert stats.mean_degree == pytest.approx(expected)
+    assert g.degrees.mean() == pytest.approx(expected)
     assert expected == pytest.approx(3.86)
 
 
 def test_grid_1x1():
     g = build_topology(Grid(1, 1))
     assert g.n == 1 and len(g.edges()) == 0
-    stats = degree_stats(g)
-    assert stats.min_degree == stats.max_degree == 0 and stats.mean_degree == 0.0
+    assert g.degrees.min() == g.degrees.max() == 0 and g.degrees.mean() == 0.0
 
 
 def test_mesh_interior_degrees():
@@ -59,9 +56,9 @@ def test_mesh_interior_degrees():
 def test_rgg_average_degree_matches_paper_densities():
     for seed in (5, 28, 38):
         g = build_topology(RandomGeometric(1000, 7500, 3000, 250, seed))
-        assert degree_stats(g).mean_degree == pytest.approx(8.0, abs=0.5)
+        assert g.degrees.mean() == pytest.approx(8.0, abs=0.5)
     g = build_topology(RandomGeometric(1200, 7500, 3000, 250, 3))
-    assert degree_stats(g).mean_degree == pytest.approx(10.0, abs=0.5)
+    assert g.degrees.mean() == pytest.approx(10.0, abs=0.5)
 
 
 def test_rgg_edge_set_is_exact():
