@@ -4,7 +4,8 @@ A config is a flat `key: value` file (schema_version 1, '#' comments,
 unknown keys rejected).  Running one builds the topology, resolves the
 source, executes a seeded batch, applies the requested metrics, and writes
 one CSV per metric plus a manifest carrying seed information and a SHA-256
-per artifact.  Identical configs produce byte-identical artifacts.
+per artifact.  Identical configs produce byte-identical artifacts.  This
+module alone knows the CSV formats: each CSV is a (header, rows) table.
 
 Run i of a batch uses seed child(base_seed, i); sweep entry j derives its
 own batch from child(base_seed, j); route-discovery query j uses
@@ -18,7 +19,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .protocols import (
     protocol_name,
 )
 from .rng import child_seed
-from .routing import discover_route, query_for, route_results_to_csv
+from .routing import RouteResult, discover_route, query_for
 from .textio import write_rows
 from .topology import (
     UNREACHABLE,
@@ -53,6 +54,7 @@ SCHEMA_VERSION = 1
 
 _RANDOM_SOURCE_STREAM = 2**48
 _ROUTE_QUERY_STREAM = 2**33
+_TAILS = ("below_10pct", "below_20pct", "above_80pct", "above_90pct")  # bimodal.csv's last rows, by bin_lo
 
 
 class ConfigError(ValueError):
@@ -348,12 +350,20 @@ def _setup(cfg: ExperimentConfig, out_dir: Optional[str], workers: int) -> tuple
     return rs, g, dmap
 
 
-def _emit(rs: ResultSet, writers: dict[str, Callable[[str], None]]) -> ResultSet:
-    """Create the output directory, write and hash each artifact, then the manifest."""
+def _emit(rs: ResultSet, tables: dict[str, tuple[str, Iterable[Sequence]]]) -> ResultSet:
+    """Create the output directory, remove the artifacts its old manifest lists,
+    write and hash each table, then the manifest."""
     os.makedirs(rs.out_dir, exist_ok=True)
-    for name, write in writers.items():
+    old = os.path.join(rs.out_dir, "manifest.json")
+    if os.path.exists(old):  # a rerun leaves only its own manifest's files
+        with open(old) as f:
+            for name in json.load(f).get("artifacts", {}):
+                path = os.path.join(rs.out_dir, name)  # plain names only: nothing outside out_dir
+                if os.path.basename(name) == name not in ("", ".", "..", "manifest.json") and os.path.isfile(path):
+                    os.remove(path)
+    for name, (header, rows) in tables.items():
         path = os.path.join(rs.out_dir, name)
-        write(path)
+        write_rows(path, header, rows)
         rs.artifacts[name] = _sha256(path)
     combined = hashlib.sha256()
     for name in sorted(rs.artifacts):
@@ -373,30 +383,42 @@ def _emit(rs: ResultSet, writers: dict[str, Callable[[str], None]]) -> ResultSet
     return rs
 
 
-def _row_writer(header: str, *cells) -> Callable[[str], None]:
-    return lambda path: write_rows(path, header, [cells])
+def _profile_table(prof: M.DistanceProfile):
+    return "distance,count,fraction,stderr", zip(prof.distances, prof.node_count, prof.fraction, prof.stderr)
 
 
-def _own_csv(result):
-    return result, result.to_csv
+def _bimodal_table(s: M.BimodalSummary):
+    tails = [(tail, None, getattr(s, f"frac_{tail}")) for tail in _TAILS]
+    return "bin_lo,bin_hi,run_fraction", [*zip(s.bin_edges[:-1], s.bin_edges[1:], s.bin_fraction), *tails]
+
+
+def _theta_table(rows: Sequence[tuple[float, M.ThetaEstimate]]):
+    """One row per (p, estimate): theta.csv has one, theta_curve.csv one per sweep entry."""
+    return "p,theta_S,ci_lo,ci_hi,theta_R", [(float(p), est.theta_S, *est.ci, est.theta_R) for p, est in rows]
+
+
+def _route_table(rows: Sequence[tuple[int, int, RouteResult]]):
+    return "src,dst,found,attempts,broadcasts,route_len,shortest_len", [
+        (s, d, r.found, r.attempts_used, r.total_broadcasts, r.route_length, r.shortest_length) for s, d, r in rows
+    ]
 
 
 def _finish_theta(acc: M.CoverageAccumulator, cfg: ExperimentConfig):
     est = acc.theta(cfg.extinction_threshold)
     p = getattr(cfg.protocol, "p", getattr(cfg.protocol, "p1", 1.0))
-    return est, lambda path: M.theta_rows_to_csv(path, [(p, est)])
+    return est, _theta_table([(p, est)])
 
 
 def _finish_overhead(acc: M.OverheadAccumulator, cfg: ExperimentConfig):
     r = acc.result()
     header = "mean_broadcasts,ratio,zone_unicasts,baseline,timeout_fraction,frac_L_ge1,timeout_L_le2"
     cells = (r.mean_broadcasts, r.ratio, r.zone_unicasts, acc.baseline, r.timeout_fraction, r.frac_L_ge1)
-    return r, _row_writer(header, *cells, r.timeout_L_le2)
+    return r, (header, [(*cells, r.timeout_L_le2)])
 
 
 def _finish_route_length(acc: M.RouteLengthAccumulator, cfg: ExperimentConfig):
     ratio = acc.mean_ratio()
-    return ratio, _row_writer("mean_ratio,samples,min_distance", ratio, acc.count, acc.min_distance)
+    return ratio, ("mean_ratio,samples,min_distance", [(ratio, acc.count, acc.min_distance)])
 
 
 def _coverage(rs: ResultSet, g: Graph, dmap: DistanceMap) -> M.CoverageAccumulator:
@@ -412,14 +434,17 @@ def _overhead(rs: ResultSet, g: Graph, dmap: DistanceMap) -> M.OverheadAccumulat
 
 
 # metric -> (accumulator factory(rs, g, dmap), finish(acc, cfg) returning the
-# metric's result and the writer of its artifact, <metric>.csv).  Metrics that
-# name the same factory share one accumulator.
+# metric's result and its artifact's table, <metric>.csv).  Metrics that name
+# the same factory share one accumulator.
 _METRICS = {
-    "profile": (lambda rs, g, dmap: M.ProfileAccumulator(dmap), lambda acc, cfg: _own_csv(acc.result())),
-    "bimodal": (_coverage, lambda acc, cfg: _own_csv(acc.summary())),
+    "profile": (
+        lambda rs, g, dmap: M.ProfileAccumulator(dmap),
+        lambda acc, cfg: (r := acc.result(), _profile_table(r)),
+    ),
+    "bimodal": (_coverage, lambda acc, cfg: (s := acc.summary(), _bimodal_table(s))),
     "theta": (_coverage, _finish_theta),
     "overhead": (_overhead, _finish_overhead),
-    "zone_coverage": (_overhead, lambda acc, cfg: _own_csv(acc.zone.result())),
+    "zone_coverage": (_overhead, lambda acc, cfg: (r := acc.zone.result(), _profile_table(r))),
     "route_length": (
         lambda rs, g, dmap: M.RouteLengthAccumulator(dmap, rs.config.route_min_distance),
         _finish_route_length,
@@ -441,16 +466,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None, workers
     for make, _ in metrics.values():
         if make not in accs:
             accs[make] = make(rs, g, dmap)
-    writers = {}
+    tables = {}
     if "route_discovery" in cfg.metrics:  # first, so a bad route_distance fails before the batch
-        rs.results["route_discovery"], writers = _route_discovery(rs, g, dmap)
+        rs.results["route_discovery"], tables = _route_discovery(rs, g, dmap)
     if accs:
         for trace in iter_batch(g, rs.source_node, cfg.protocol, cfg.runs, cfg.base_seed, workers=workers):
             for acc in accs.values():
                 acc.add(trace)
     for name, (make, finish) in metrics.items():
-        rs.results[name], writers[f"{name}.csv"] = finish(accs[make], cfg)
-    return _emit(rs, writers)
+        rs.results[name], tables[f"{name}.csv"] = finish(accs[make], cfg)
+    return _emit(rs, tables)
 
 
 def _route_discovery(rs: ResultSet, g: Graph, dmap: DistanceMap):
@@ -475,8 +500,8 @@ def _route_discovery(rs: ResultSet, g: Graph, dmap: DistanceMap):
         "mean_broadcasts": broadcasts / cfg.route_queries,
     }
     return summary, {
-        "route_discovery.csv": lambda path: route_results_to_csv(path, rows),
-        "route_summary.csv": _row_writer(",".join(summary), *summary.values()),
+        "route_discovery.csv": _route_table(rows),
+        "route_summary.csv": (",".join(summary), [tuple(summary.values())]),
     }
 
 
@@ -492,7 +517,7 @@ def sweep_probability(cfg: ExperimentConfig, out_dir: Optional[str] = None, work
         batch = iter_batch(g, rs.source_node, spec, cfg.runs, child_seed(cfg.base_seed, j), workers=workers)
         rows.append((p, acc.consume(batch).theta(cfg.extinction_threshold)))
     rs.results["theta_curve"] = rows
-    return _emit(rs, {"theta_curve.csv": lambda path: M.theta_rows_to_csv(path, rows)})
+    return _emit(rs, {"theta_curve.csv": _theta_table(rows)})
 
 
 def load_manifest(result_dir: str) -> dict:
@@ -559,7 +584,7 @@ def report(result_dirs: list[str], out_dir: str = ".") -> str:
                 theta_s = pts[-1][1]
                 theta_blocks.append((name, pts))
         tails = {r["bin_lo"]: float(r["run_fraction"]) for r in _read_rows(d, manifest, "bimodal.csv")}
-        cells = (ratio, theta_s, *map(tails.get, ("below_10pct", "above_80pct", "above_90pct")), route, stretch)
+        cells = (ratio, theta_s, *map(tails.get, (_TAILS[0], *_TAILS[2:])), route, stretch)
         lines.append(_TABLE_ROW.format(name, proto, *("" if x is None else f"{x:.3f}" for x in cells)))
 
     # one gnuplot block per experiment: a "# name" line, its points, two blank lines

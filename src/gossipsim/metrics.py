@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .engine import ExecutionTrace
 from .protocols import Gossip3, Gossip4
-from .textio import write_rows
 from .topology import UNREACHABLE, DistanceMap, Graph, zone_levels
 
 
@@ -42,10 +41,6 @@ class DistanceProfile:
     stderr: np.ndarray
     runs: int
 
-    def to_csv(self, path_or_file) -> None:
-        rows = zip(self.distances, self.node_count, self.fraction, self.stderr)
-        write_rows(path_or_file, "distance,count,fraction,stderr", rows)
-
 
 @dataclass
 class BimodalSummary:
@@ -59,12 +54,6 @@ class BimodalSummary:
     frac_below_20pct: float
     frac_above_80pct: float
     frac_above_90pct: float
-
-    def to_csv(self, path_or_file) -> None:
-        rows = list(zip(self.bin_edges[:-1], self.bin_edges[1:], self.bin_fraction))
-        tails = ("below_10pct", "below_20pct", "above_80pct", "above_90pct")
-        rows += [(tail, None, getattr(self, f"frac_{tail}")) for tail in tails]
-        write_rows(path_or_file, "bin_lo,bin_hi,run_fraction", rows)
 
 
 @dataclass
@@ -278,9 +267,3 @@ class RouteLengthAccumulator(_Consumer):
         if self.count == 0:
             raise ValueError("no reached destinations at or beyond the minimum distance")
         return self.total / self.count
-
-
-def theta_rows_to_csv(path_or_file, rows: Sequence[tuple[float, ThetaEstimate]]) -> None:
-    """CSV rows `p,theta_S,ci_lo,ci_hi,theta_R` for a probability sweep."""
-    cells = ((float(p), est.theta_S, *est.ci, est.theta_R) for p, est in rows)
-    write_rows(path_or_file, "p,theta_S,ci_lo,ci_hi,theta_R", cells)

@@ -10,12 +10,11 @@ seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .engine import run_execution
 from .protocols import Gossip4, ProtocolSpec
 from .rng import child_seed
-from .textio import write_rows
 from .topology import UNREACHABLE, DistanceMap, Graph, ball_distances, hop_distances
 
 
@@ -86,12 +85,3 @@ def discover_route(g: Graph, q: RouteQuery, base_seed: int, dmap: Optional[Dista
         route_length=None,
         shortest_length=shortest,
     )
-
-
-def route_results_to_csv(path_or_file, rows: Sequence[tuple[int, int, RouteResult]]) -> None:
-    """Rows `src,dst,found,attempts,broadcasts,route_len,shortest_len`."""
-    cells = (
-        (src, dst, r.found, r.attempts_used, r.total_broadcasts, r.route_length, r.shortest_length)
-        for src, dst, r in rows
-    )
-    write_rows(path_or_file, "src,dst,found,attempts,broadcasts,route_len,shortest_len", cells)

@@ -183,6 +183,9 @@ def test_manifest_detects_tampering(tmp_path):
     target.write_text(target.read_text() + "tampered\n")
     with pytest.raises(ValueError):
         load_manifest(rs.out_dir)
+    target.unlink()
+    with pytest.raises(ValueError, match="missing artifact profile.csv"):
+        load_manifest(rs.out_dir)
 
 
 def test_theta_requires_interior_source(tmp_path):
@@ -210,6 +213,10 @@ def test_sweep_requires_sweep_fields(tmp_path):
     cfg = parse_config_text(TINY)
     with pytest.raises(ConfigError):
         sweep_probability(cfg, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    # with neither a protocol nor a p_sweep (nor metrics) the config is valid but cannot run
+    with pytest.raises(ConfigError, match="run requires a protocol"):
+        run_experiment(replace(cfg, protocol=None, metrics=frozenset()), out_dir=str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
     # run_experiment hands a sweep config to sweep_probability
     cfg2 = parse_config_text(SWEEP)
@@ -282,6 +289,10 @@ def test_source_node_outside_graph_writes_nothing(tmp_path):
     with pytest.raises(ConfigError, match="source node 999 outside graph"):
         run_experiment(cfg, out_dir=str(tmp_path / "n999"))
     assert not (tmp_path / "n999").exists()
+    cfg = parse_config_text(TINY.replace("grid 8 12", "grid 20 50").replace("left_row 4", "left_row 20"))
+    with pytest.raises(ValueError, match=r"\(20, 0\) outside 20x50"):
+        run_experiment(cfg, out_dir=str(tmp_path / "row20"))
+    assert not (tmp_path / "row20").exists()
 
 
 def test_boundary_mask_lattice_and_rgg():
@@ -387,16 +398,56 @@ def test_report_reads_columns_by_header(tmp_path):
     assert "0.6 0.25\n0.7 0.75\n" in (tmp_path / "report_theta.dat").read_text()
 
 
-def test_report_reads_only_what_the_manifest_lists(tmp_path):
-    # a profile-only rerun into a bimodal run's directory leaves its
-    # overhead.csv and bimodal.csv behind, unlisted and unchecked
+def _canned_bimodal_20_runs():
     canned = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "grid_p65_bimodal.cfg")
-    cfg = replace(parse_config(canned), runs=20)
+    return replace(parse_config(canned), runs=20)
+
+
+def test_rerun_leaves_only_its_manifests_files(tmp_path):
+    # a profile-only rerun into a bimodal run's directory removes the
+    # bimodal.csv and overhead.csv that the old manifest lists
+    cfg = _canned_bimodal_20_runs()
+    out = tmp_path / "reused"
+    run_experiment(cfg, out_dir=str(out))
+    assert sorted(os.listdir(out)) == ["bimodal.csv", "manifest.json", "overhead.csv", "profile.csv"]
+    run_experiment(replace(cfg, metrics=frozenset({"profile"})), out_dir=str(out))
+    assert sorted(os.listdir(out)) == ["manifest.json", "profile.csv"]
+
+
+def test_rerun_removes_nothing_outside_its_directory(tmp_path):
+    # a hand-edited manifest may list any name; a rerun removes only the
+    # plain file names in its own directory, and never the manifest itself
+    cfg = parse_config_text(TINY)
+    out = tmp_path / "out"
+    run_experiment(cfg, out_dir=str(out))
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep\n")
+    (out / "sub").mkdir()
+    (out / "sub" / "kept.csv").write_text("keep\n")
+    (out / "notes.txt").write_text("unlisted\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = ["../victim.txt", str(victim), "sub/kept.csv", "sub", ".", "..", "", "manifest.json", "gone.csv"]
+    manifest["artifacts"] = dict.fromkeys(listed, "0" * 64)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    run_experiment(cfg, out_dir=str(out))
+    assert victim.read_text() == "keep\n"
+    assert (out / "sub" / "kept.csv").read_text() == "keep\n"
+    artifacts = ["bimodal.csv", "overhead.csv", "profile.csv"]
+    assert sorted(load_manifest(str(out))["artifacts"]) == artifacts
+    assert sorted(os.listdir(out)) == sorted([*artifacts, "manifest.json", "notes.txt", "sub"])
+
+
+def test_report_reads_only_what_the_manifest_lists(tmp_path):
+    # an overhead.csv and a bimodal.csv that the manifest does not list are
+    # neither checked nor read
+    cfg = replace(_canned_bimodal_20_runs(), metrics=frozenset({"profile"}))
     out = str(tmp_path / "reused")
     run_experiment(cfg, out_dir=out)
-    run_experiment(replace(cfg, metrics=frozenset({"profile"})), out_dir=out)
+    with open(os.path.join(out, "overhead.csv"), "w") as f:
+        f.write("mean_broadcasts,ratio\n40.0,0.4\n")
+    with open(os.path.join(out, "bimodal.csv"), "w") as f:
+        f.write("bin_lo,bin_hi,run_fraction\nbelow_10pct,,0.5\nabove_80pct,,0.25\nabove_90pct,,0.125\n")
     assert sorted(load_manifest(out)["artifacts"]) == ["profile.csv"]
-    assert os.path.exists(os.path.join(out, "overhead.csv"))
     table = report([out], out_dir=str(tmp_path))
     row = [ln for ln in table.splitlines() if ln.startswith("grid_p65_bimodal")][0]
     assert row.split() == ["grid_p65_bimodal", "gossip1(0.65,4)"]

@@ -15,15 +15,16 @@ from gossipsim import (
     iter_batch,
     run_execution,
 )
+from gossipsim.experiments import _bimodal_table, _profile_table, _theta_table
 from gossipsim.metrics import (
     CoverageAccumulator,
     OverheadAccumulator,
     ProfileAccumulator,
     RouteLengthAccumulator,
     ZoneCoverageAccumulator,
-    theta_rows_to_csv,
     wilson_interval,
 )
+from gossipsim.textio import write_rows
 from gossipsim.topology import zone_levels
 
 from conftest import line_graph
@@ -214,6 +215,9 @@ def test_route_length_ratio_line_graph_unique_path():
     assert tr.received[9]
     acc = RouteLengthAccumulator(dm, 9).consume([tr])
     assert acc.count == 1 and acc.mean_ratio() == 1.0
+    beyond = RouteLengthAccumulator(dm, 10).consume([tr])  # no node is 10 hops away
+    with pytest.raises(ValueError, match="no reached destinations"):
+        beyond.mean_ratio()
 
 
 def test_estimators_are_pure(grid_setup):
@@ -260,7 +264,7 @@ def test_profile_csv_format(grid_setup):
     g, src, dm = grid_setup
     prof = ProfileAccumulator(dm).consume(iter_batch(g, src, FLOODING, 2, 1)).result()
     buf = io.StringIO()
-    prof.to_csv(buf)
+    write_rows(buf, *_profile_table(prof))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "distance,count,fraction,stderr"
     assert lines[1] == "0,1,1.0,0.0"
@@ -270,7 +274,7 @@ def test_bimodal_csv_has_bins_and_tails(grid_setup):
     g, src, dm = grid_setup
     summary = CoverageAccumulator(dm, (2, 10)).consume(iter_batch(g, src, FLOODING, 3, 1)).summary()
     buf = io.StringIO()
-    summary.to_csv(buf)
+    write_rows(buf, *_bimodal_table(summary))
     text = buf.getvalue()
     assert text.startswith("bin_lo,bin_hi,run_fraction\n")
     assert text.count("\n") == 1 + 10 + 4  # header, 10 bins, 4 tail rows
@@ -282,7 +286,7 @@ def test_theta_csv(grid_setup):
     g, src, dm = grid_setup
     est = CoverageAccumulator(dm, (2, 10)).consume(iter_batch(g, src, FLOODING, 4, 2)).theta()
     buf = io.StringIO()
-    theta_rows_to_csv(buf, [(1.0, est)])
+    write_rows(buf, *_theta_table([(1.0, est)]))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "p,theta_S,ci_lo,ci_hi,theta_R"
     assert lines[1].startswith("1.0,1.0,")

@@ -15,8 +15,10 @@ from gossipsim import (
     hop_distances,
     run_execution,
 )
+from gossipsim.experiments import _route_table
 from gossipsim.rng import child_seed
-from gossipsim.routing import RouteQuery, discover_route, query_for, route_results_to_csv
+from gossipsim.routing import RouteQuery, discover_route, query_for
+from gossipsim.textio import write_rows
 
 from conftest import line_graph, random_graph
 
@@ -28,6 +30,9 @@ def test_query_validation():
         RouteQuery(source=0, dest=1, protocol=FLOODING, max_attempts=0)
     q = query_for(None, 0, 1, Gossip4(0.6, 1, 3))
     assert q.zone_radius == 3
+    g = line_graph(4)
+    with pytest.raises(ValueError, match="destination 4 outside graph of size 4"):
+        discover_route(g, query_for(g, 0, 4, FLOODING), 1)
 
 
 def test_flooding_finds_shortest_route(grid20x50):
@@ -146,7 +151,7 @@ def test_route_results_csv():
     g = line_graph(4)
     r = discover_route(g, query_for(g, 0, 3, FLOODING), 1)
     buf = io.StringIO()
-    route_results_to_csv(buf, [(0, 3, r)])
+    write_rows(buf, *_route_table([(0, 3, r)]))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "src,dst,found,attempts,broadcasts,route_len,shortest_len"
     assert lines[1] == "0,3,1,1,4,3,3"

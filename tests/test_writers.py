@@ -2,9 +2,10 @@ import hashlib
 import io
 
 from gossipsim import Grid, RandomGeometric, build_topology
-from gossipsim.experiments import parse_config_text, report, run_experiment, sweep_probability
+from gossipsim.experiments import _route_table, parse_config_text, report, run_experiment, sweep_probability
 from gossipsim.protocols import Gossip4
-from gossipsim.routing import discover_route, query_for, route_results_to_csv
+from gossipsim.routing import discover_route, query_for
+from gossipsim.textio import write_rows
 from gossipsim.topology import hop_distances, save_edgelist
 
 _SMALL_RGG = RandomGeometric(150, 2000.0, 600.0, 150.0, 5)
@@ -74,7 +75,7 @@ def _writer_outputs(tmp_path) -> dict:
     assert any(r.found for _, _, r in rows) and any(not r.found for _, _, r in rows)
     assert any(r.shortest_length is None for _, _, r in rows)
     buf = io.StringIO()
-    route_results_to_csv(buf, rows)
+    write_rows(buf, *_route_table(rows))
     got["route_discovery"] = _digest(buf.getvalue())
 
     dirs = []
